@@ -1,29 +1,22 @@
-"""Experiment E17 — fan-out latency: serial sum vs concurrent critical path.
+"""Experiment E17 — fan-out latency on the critical-path model.
 
 Every fan-out in the reproduction (quorum probes, hedged replica
-fetches, batched feed fetches) historically *summed* its round trips,
-because the accounted-RPC shortcut has no notion of overlap.  A real
-client overlaps independent requests and pays roughly the slowest one —
-which is precisely the latency the paper's availability-vs-cost
-trade-off (replication, quorum privacy) is priced against.  E17 runs the
-same workloads twice, ``concurrent=False`` (the legacy accounting,
-byte-identical to every committed table) and ``concurrent=True`` (the
-:class:`SimFuture` kernel's critical-path accounting), and reports the
-gap:
+fetches, batched feed fetches) issues its requests together, the way a
+real client overlaps independent requests, and pays the critical path
+rather than the sum of its round trips.  That latency is what the
+paper's availability-vs-cost trade-off (replication, quorum privacy) is
+priced against.  E17 reports it for three workloads:
 
-* **quorum reads** (R=2 of N=3 verified) — the headline gate: identical
-  messages and bytes in both modes, concurrent latency strictly below
-  sequential (expected roughly R×: the read settles at the 2nd verified
-  response instead of paying all 3 probes);
-* **hedged lookups** under loss — true staggered hedging vs sequential
-  probing (message counts may differ: hedging launches while earlier
-  attempts are in flight);
+* **quorum reads** (R=2 of N=3 verified) — each read settles at the 2nd
+  verified response; the probe-sum column shows what the same probes
+  would cost back to back;
+* **hedged lookups** under loss — staggered launches every
+  ``hedge_delay``, the earliest success wins;
 * **cold/warm batched feeds** — the feed inherits the backend's
-  overlapped holder probes at identical message counts.
+  overlapped holder probes.
 
-Determinism: the concurrent cells are re-run and must settle
-byte-identically (settle order is fixed by completion-time then issue
-sequence).
+Determinism: the quorum cell is re-run and must settle byte-identically
+(settle order is fixed by completion time, then issue sequence).
 
 ``REPRO_E17_SCALE=smoke`` shrinks the sweep for CI smoke runs.
 """
@@ -61,12 +54,17 @@ def _percentiles(values):
     return p50, p99
 
 
+def _lat_cells(values):
+    p50, p99 = _percentiles(values)
+    return [f"{statistics.mean(values):.4f}", f"{p50:.4f}", f"{p99:.4f}"]
+
+
 # -- quorum reads (the headline cell) ------------------------------------------
 
 
-def _quorum_cell(concurrent: bool):
-    """One quorum-read workload; returns (stats summary, elapsed list)."""
-    fab = Fabric.create(seed=SEED, concurrent=concurrent)
+def _quorum_cell():
+    """One quorum-read workload: (stats summary, elapsed, probe sums)."""
+    fab = Fabric.create(seed=SEED, tracing=True)
     ring = ChordRing(fab, successor_list_size=8, replication=3)
     for i in range(N):
         ring.add_node(f"p{i}")
@@ -75,66 +73,45 @@ def _quorum_cell(concurrent: bool):
     for i in range(KEYS):
         store.put(f"p{(3 * i + 1) % N}", f"key{i}", b"blob-%d" % i)
     fab.network.stats.reset()
-    elapsed = []
+    elapsed, probe_sums = [], []
     for j in range(READS):
+        fab.tracer.clear()
         result = store.get(f"p{(2 * j + 1) % N}", f"key{j % KEYS}")
         elapsed.append(result.elapsed)
-    return fab.network.stats.summary(), elapsed
+        probe_sums.append(sum(
+            span.cost for span in fab.tracer.spans
+            if span.name == "net.rpc"
+            and span.attrs.get("kind") == "quorum_read"))
+    return fab.network.stats.summary(), elapsed, probe_sums
 
 
 def test_quorum_read_critical_path(benchmark):
-    """E17 headline: concurrent quorum reads pay the critical path."""
+    """E17 headline: quorum reads pay the critical path."""
+    stats, elapsed, probe_sums = benchmark.pedantic(
+        _quorum_cell, rounds=1, iterations=1)
 
-    def run():
-        serial_stats, serial_elapsed = _quorum_cell(concurrent=False)
-        conc_stats, conc_elapsed = _quorum_cell(concurrent=True)
-        return serial_stats, serial_elapsed, conc_stats, conc_elapsed
-
-    serial_stats, serial_elapsed, conc_stats, conc_elapsed = \
-        benchmark.pedantic(run, rounds=1, iterations=1)
-
-    # Identical wire cost: concurrency changes latency attribution only.
-    assert serial_stats["messages"] == conc_stats["messages"], (
-        "concurrent quorum reads changed the message count")
-    assert serial_stats["bytes"] == conc_stats["bytes"], (
-        "concurrent quorum reads changed the byte count")
-    # The acceptance gate: strictly below, read by read and in aggregate.
-    assert all(c <= s for c, s in zip(conc_elapsed, serial_elapsed))
-    serial_mean = statistics.mean(serial_elapsed)
-    conc_mean = statistics.mean(conc_elapsed)
-    assert conc_mean < serial_mean, (
-        f"concurrent mean {conc_mean:.4f}s not below serial "
-        f"{serial_mean:.4f}s")
-    speedup = serial_mean / conc_mean
-
-    rows = []
-    for label, stats_, elapsed in (("sequential", serial_stats,
-                                    serial_elapsed),
-                                   ("concurrent", conc_stats,
-                                    conc_elapsed)):
-        p50, p99 = _percentiles(elapsed)
-        rows.append([label, f"{statistics.mean(elapsed):.4f}",
-                     f"{p50:.4f}", f"{p99:.4f}",
-                     f"{stats_['messages'] / READS:.1f}",
-                     f"{stats_['bytes'] / READS:.0f}"])
+    # R=2 of 3: the read settles before its slowest probe, every time.
+    assert all(e < s for e, s in zip(elapsed, probe_sums))
+    mean, probe_mean = statistics.mean(elapsed), statistics.mean(probe_sums)
     report_table(
         "E17_latency_fanout",
-        "E17 — verified quorum reads (R=2 of N=3): sum vs critical path",
-        ["Mode", "Mean lat (s)", "p50 (s)", "p99 (s)", "Msgs/read",
-         "Bytes/read"],
-        rows,
-        note=(f"Same seed, same probes, same wire cost; the concurrent "
-              f"kernel settles each read at the 2nd verified response "
-              f"instead of summing all 3 probes ({speedup:.1f}x lower "
-              "mean latency).  Read-repair pushes are background either "
-              "way."))
+        "E17 — verified quorum reads (R=2 of N=3): critical path",
+        ["Mean lat (s)", "p50 (s)", "p99 (s)", "Probe sum (s)",
+         "Msgs/read", "Bytes/read"],
+        [_lat_cells(elapsed) + [f"{probe_mean:.4f}",
+                                f"{stats['messages'] / READS:.1f}",
+                                f"{stats['bytes'] / READS:.0f}"]],
+        note=(f"Each read settles at the 2nd verified response; the "
+              f"same probes back to back would sum to "
+              f"{probe_mean / mean:.1f}x the mean latency.  Read-repair "
+              "pushes are background traffic."))
 
 
 def test_concurrent_settle_deterministic(benchmark):
-    """E17b: two concurrent runs settle byte-identically (seeded)."""
+    """E17b: two runs settle byte-identically (seeded)."""
 
     def run_twice():
-        return _quorum_cell(concurrent=True), _quorum_cell(concurrent=True)
+        return _quorum_cell(), _quorum_cell()
 
     first, second = benchmark.pedantic(run_twice, rounds=1, iterations=1)
     assert repr(first) == repr(second)
@@ -143,9 +120,8 @@ def test_concurrent_settle_deterministic(benchmark):
 # -- hedged lookups under loss --------------------------------------------------
 
 
-def _hedged_cell(concurrent: bool):
-    fab = Fabric.create(seed=SEED + 1, loss_rate=0.2, resilient=True,
-                        concurrent=concurrent)
+def _hedged_cell():
+    fab = Fabric.create(seed=SEED + 1, loss_rate=0.2, resilient=True)
     names = [f"h{i}" for i in range(12)]
     for name in names:
         fab.network.register(SimNode(name))
@@ -164,44 +140,20 @@ def _hedged_cell(concurrent: bool):
 
 
 def test_hedged_lookup_latency(benchmark):
-    """E17c: true staggered hedging vs sequential replica probing."""
-
-    def run():
-        return _hedged_cell(concurrent=False), _hedged_cell(concurrent=True)
-
-    (serial_stats, serial_elapsed, serial_ok), \
-        (conc_stats, conc_elapsed, conc_ok) = \
-        benchmark.pedantic(run, rounds=1, iterations=1)
-
-    serial_mean = statistics.mean(serial_elapsed)
-    conc_mean = statistics.mean(conc_elapsed)
-    # Hedging may issue a different number of probes (that is the point:
-    # launches overlap in-flight attempts), so the gate here is latency
-    # only — on success the winner's completion offset bounds the cost.
-    assert conc_mean < serial_mean, (
-        f"hedged concurrent mean {conc_mean:.4f}s not below serial "
-        f"{serial_mean:.4f}s")
-    rows = []
-    for label, stats_, elapsed, ok_count in (
-            ("sequential", serial_stats, serial_elapsed, serial_ok),
-            ("concurrent", conc_stats, conc_elapsed, conc_ok)):
-        p50, p99 = _percentiles(elapsed)
-        rows.append([label, f"{statistics.mean(elapsed):.4f}",
-                     f"{p50:.4f}", f"{p99:.4f}",
-                     f"{ok_count}/{TRIALS}",
-                     stats_["hedges"],
-                     f"{stats_['messages'] / TRIALS:.1f}"])
+    """E17c: staggered hedging across three replica holders."""
+    stats, elapsed, successes = benchmark.pedantic(
+        _hedged_cell, rounds=1, iterations=1)
+    assert successes > 0
     report_table(
         "E17c_hedged",
         "E17c — hedged replica lookups under 20% loss",
-        ["Mode", "Mean lat (s)", "p50 (s)", "p99 (s)", "Success",
-         "Hedges", "Msgs/lookup"],
-        rows,
-        note=("Sequential mode probes one candidate at a time and sums "
-              "every attempt; concurrent mode staggers launches every "
-              "hedge_delay=0.05s, stops launching once an earlier "
-              "request has won, and pays the winner's completion "
-              "offset."))
+        ["Mean lat (s)", "p50 (s)", "p99 (s)", "Success", "Hedges",
+         "Msgs/lookup"],
+        [_lat_cells(elapsed) + [f"{successes}/{TRIALS}", stats["hedges"],
+                                f"{stats['messages'] / TRIALS:.1f}"]],
+        note=("Launches are staggered every hedge_delay=0.05s and stop "
+              "once an earlier request has won; a lookup pays the "
+              "winner's completion offset (every probe's, on failure)."))
 
 
 # -- batched feeds ---------------------------------------------------------------
@@ -218,12 +170,11 @@ def _feed_once(net, reader):
     return messages, cost
 
 
-def _feed_cell(concurrent: bool):
+def _feed_cell():
     graph = social_graph(USERS, kind="ws", seed=SEED)
     net = DosnNetwork(config=DosnConfig(
         architecture="dht", seed=SEED, tracing=True,
-        cache=CacheConfig(capacity_per_reader=0),  # batched, uncached
-        concurrent=concurrent))
+        cache=CacheConfig(capacity_per_reader=0)))  # batched, uncached
     for node in graph.nodes:
         net.add_user(str(node))
     net.apply_social_graph(graph)
@@ -242,38 +193,21 @@ def _feed_cell(concurrent: bool):
 
 def test_feed_fanout_latency(benchmark):
     """E17d: batched feeds inherit the backend's overlapped fan-out."""
+    cold, warm = benchmark.pedantic(_feed_cell, rounds=1, iterations=1)
 
-    def run():
-        return _feed_cell(concurrent=False), _feed_cell(concurrent=True)
-
-    (serial_cold, serial_warm), (conc_cold, conc_warm) = \
-        benchmark.pedantic(run, rounds=1, iterations=1)
-
-    # The batched probe plan is mode-independent: identical messages.
-    assert serial_cold["msgs"] == conc_cold["msgs"]
-    assert serial_warm["msgs"] == conc_warm["msgs"]
-    serial_p50, _ = _percentiles(serial_warm["cost"])
-    conc_p50, _ = _percentiles(conc_warm["cost"])
-    assert conc_p50 < serial_p50, (
-        f"warm concurrent feed p50 {conc_p50:.4f}s not below serial "
-        f"{serial_p50:.4f}s")
-    rows = []
-    for label, cold, warm in (("sequential", serial_cold, serial_warm),
-                              ("concurrent", conc_cold, conc_warm)):
-        cold_p50, cold_p99 = _percentiles(cold["cost"])
-        warm_p50, warm_p99 = _percentiles(warm["cost"])
-        rows.append([label,
-                     f"{statistics.mean(cold['msgs']):.1f}",
-                     f"{statistics.mean(warm['msgs']):.1f}",
-                     f"{cold_p50:.4f}", f"{cold_p99:.4f}",
-                     f"{warm_p50:.4f}", f"{warm_p99:.4f}"])
+    # Uncached, the warm pass repeats the cold pass's probe plan.
+    assert cold["msgs"] == warm["msgs"]
+    cold_p50, cold_p99 = _percentiles(cold["cost"])
+    warm_p50, warm_p99 = _percentiles(warm["cost"])
     report_table(
         "E17d_feed_fanout",
         "E17d — batched feed assembly: virtual cost per feed",
-        ["Mode", "Cold msg/feed", "Warm msg/feed", "Cold p50 s",
-         "Cold p99 s", "Warm p50 s", "Warm p99 s"],
-        rows,
-        note=("Identical messages per feed in both modes; the batched "
-              "fetch's per-holder probes overlap under the concurrent "
-              "model, so a warm feed costs roughly its slowest holder "
-              "group instead of the sum over groups."))
+        ["Cold msg/feed", "Warm msg/feed", "Cold p50 s", "Cold p99 s",
+         "Warm p50 s", "Warm p99 s"],
+        [[f"{statistics.mean(cold['msgs']):.1f}",
+          f"{statistics.mean(warm['msgs']):.1f}",
+          f"{cold_p50:.4f}", f"{cold_p99:.4f}",
+          f"{warm_p50:.4f}", f"{warm_p99:.4f}"]],
+        note=("The batched fetch's per-holder probes overlap, so a feed "
+              "costs roughly its slowest holder group instead of the "
+              "sum over groups."))

@@ -34,7 +34,7 @@ class DefenseConfig:
     against a verified certificate binding ``id = H(pubkey)``;
     ``disjoint_paths`` / ``successor_redundancy`` run that many
     independent lookup paths (Kademlia / Chord respectively) and settle
-    the answer by majority vote on the concurrent kernel; ``quarantine``
+    the answer by majority vote (the paths overlap in time); ``quarantine``
     bans provably-lying peers (and repeatedly-outvoted ones, after
     ``suspect_threshold`` strikes) from routing, feeding the ban into
     SWIM membership and the circuit breaker when those are wired.

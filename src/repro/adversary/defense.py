@@ -12,10 +12,9 @@ Three classic defenses against routing-layer adversaries, composed:
   diversity) and settles the owner by majority vote;
   :func:`defended_kad_lookup` does the same with ``disjoint_paths``
   Kademlia lookups, voting on closest-set membership.  Path latencies
-  settle through the concurrent kernel (:func:`~repro.overlay.simulator
-  .gather`): the redundancy costs the *max* path latency under
-  ``Simulator(concurrent=True)`` and the serial sum otherwise, exactly
-  like every other fan-out in the codebase;
+  settle through :func:`~repro.overlay.simulator.gather`: the
+  redundancy costs the *max* path latency, like every other fan-out in
+  the codebase;
 * **quarantine** (:class:`Quarantine`) — provably-lying peers are banned
   from route selection immediately; certified-but-lying peers (true id,
   wrong answer — certification cannot catch them) are banned after
@@ -122,8 +121,7 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64,
     failed_paths = 0
     attempts = 0
     with ring.network.tracer.span("chord.lookup.defended", key=key,
-                                  start=start,
-                                  parallel=sim.concurrent) as span:
+                                  start=start, parallel=True) as span:
         while attempts < 2 * votes_needed + 1 and len(votes) < votes_needed:
             attempts += 1
             visited: Set[str] = set()
@@ -141,7 +139,7 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64,
             raise LookupError_(
                 f"defended lookup for {key!r}: all {attempts} disjoint "
                 "paths failed")
-        fanout = gather(futures)
+        elapsed = gather(futures)
         eligible = votes
         if defense.certified_ids:
             # Successor verification: certified positions are
@@ -171,7 +169,7 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64,
         span.set_attr("agreement", top / len(votes))
         span.set_attr("owner", winner)
         return LookupResult(
-            owner=winner, hops=winning.hops, rtt=fanout.elapsed,
+            owner=winner, hops=winning.hops, rtt=elapsed,
             failed_probes=failed_paths + sum(v.failed_probes
                                              for v in votes),
             resolver=winning.resolver)
@@ -209,7 +207,7 @@ def defended_kad_lookup(overlay, start: str, key: str,
     attempts = 0
     with overlay.network.tracer.span(
             "kad.lookup.defended", key=key, start=start,
-            parallel=overlay.network.sim.concurrent) as span:
+            parallel=True) as span:
         while attempts < 2 * paths_wanted + 1 and len(paths) < paths_wanted:
             attempts += 1
             visited: Set[str] = set()

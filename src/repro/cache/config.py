@@ -4,8 +4,8 @@ One frozen dataclass gates everything the cache subsystem does, mirroring
 how :class:`repro.storage2.ReplicationConfig` gates the quorum store:
 ``DosnConfig(cache=CacheConfig(...))`` switches the read side of a
 :class:`~repro.dosn.api.DosnNetwork` onto the cached + batched paths;
-``cache=None`` (the default) keeps every legacy code path — and every
-committed experiment table — byte-identical.
+``cache=None`` (the default) caches nothing and fetches each feed cid
+on its own, drawing no RNG and sending no message the cached path adds.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ class CacheConfig:
     prefetch: bool = True
     #: how many of a friend's newest posts a prefetch pulls
     prefetch_depth: int = 2
-    #: route ``feed`` fetches through :meth:`StorageBackend.get_many`
-    #: (per-holder coalesced lookups) instead of one fetch per cid
-    batch_reads: bool = True
 
     def __post_init__(self) -> None:
         if self.capacity_per_reader < 0:

@@ -35,8 +35,7 @@ degraded or not).  ``DosnConfig(cache=CacheConfig(...))`` turns on the
 hot-path read machinery of :mod:`repro.cache`: per-reader verified-
 content caching invalidated by the author's hash-chain head, batched
 :meth:`StorageBackend.get_many` feed fan-out, and social prefetching —
-all strictly off by default, so every committed experiment table
-regenerates byte-identically with the cache disabled.
+all strictly off by default.
 """
 
 from __future__ import annotations
@@ -141,14 +140,9 @@ class DosnConfig:
     membership: Optional[MembershipConfig] = None
     #: hot-path read caching (:mod:`repro.cache`): per-reader verified-
     #: content LRU + batched feed fan-out + social prefetch.  ``None``
-    #: (the default) keeps every read cold and every legacy code path —
-    #: including RNG draws and span order — untouched.
+    #: (the default) keeps every read cold and fetches each feed cid on
+    #: its own — no extra RNG draw or message.
     cache: Optional[CacheConfig] = None
-    #: account fan-out latency as the concurrent critical path (quorum
-    #: probes, hedged fetches, ping-req chains overlap) instead of the
-    #: legacy serial sum.  Message/byte counts are unchanged; ``False``
-    #: keeps every committed table byte-identical.
-    concurrent: bool = False
     #: overload protection (:mod:`repro.faults.overload`): per-peer
     #: service queues with load shedding, per-operation deadlines through
     #: lookups / quorum reads / feed fan-out, a shared retry budget, and
@@ -214,7 +208,6 @@ class DosnNetwork:
                 tracing=config.tracing or config.wall_clock,
                 wall_clock=config.wall_clock,
                 resilient=config.resilient,
-                concurrent=config.concurrent,
                 overload=config.overload,
                 adversary=config.adversary)
         self.fabric = fabric
@@ -361,16 +354,9 @@ class DosnNetwork:
         return user.views.get(author)
 
     def _fetch_many(self, reader: str, cids: List[str]) -> Dict[str, object]:
-        """The batched storage read, under one span (the E16 hot path).
-
-        ``CacheConfig(batch_reads=False)`` pins the sequential default
-        (one :meth:`fetch_blob` per cid) for apples-to-apples benchmarks.
-        """
+        """The batched storage read, under one span (the E16 hot path)."""
         with self.tracer.span("storage.get_many", reader=reader,
                               requested=len(cids)):
-            if self.config.cache is not None \
-                    and not self.config.cache.batch_reads:
-                return StorageBackend.get_many(self.storage, reader, cids)
             return self.storage.get_many(reader, cids)
 
     def _open_for(self, reader: str, author: str, blob: bytes, cid: str):
@@ -526,13 +512,14 @@ class DosnNetwork:
              limit_per_friend: Optional[int] = None) -> FeedReport:
         """Assemble the reader's verified news feed.
 
-        The fetch pass runs only the stack's placement layer; each
-        fetched blob is then opened through the ACL + integrity layers.
-        With ``DosnConfig.cache`` set the feed switches to the batched
-        strategy: the prefetcher warms the reader's cache, chain-
-        validated hits skip fetch + decrypt + verify, and the remaining
-        cids ride one :meth:`StorageBackend.get_many` call (one route /
-        RPC per holder instead of one per post).
+        Every friend's timeline is synced first; the fetch pass then
+        runs only the stack's placement layer and each fetched blob is
+        opened through the ACL + integrity layers.  With
+        ``DosnConfig.cache`` set the prefetcher warms the reader's cache,
+        chain-validated hits skip fetch + decrypt + verify, and the
+        remaining cids ride one :meth:`StorageBackend.get_many` call (one
+        route / RPC per holder instead of one per post); without it each
+        cid is fetched on its own.
         """
         self._ensure_routing()
 

@@ -11,20 +11,17 @@ the access policy (Section III).
 a feed that quietly hides a friend's censored post is exactly the
 equivocation the paper warns about.
 
-Two fetch strategies share the same verification semantics:
-
-* the **sequential** path (default): sync a friend, fetch and open each
-  of their posts, move to the next friend — one storage round-trip per
-  post.  This is the original loop, kept byte-identical for the
-  committed experiment baselines;
-* the **batched** path (``fetch_many=``): sync *all* friends first, then
-  fetch every still-needed cid in one
-  :meth:`~repro.dosn.storage.StorageBackend.get_many` call (one route /
-  RPC per holder instead of one per post), optionally consulting a
-  :class:`~repro.cache.VerifiedContentCache` so unchanged posts skip the
-  fetch + decrypt + verify entirely.  Cache hits are only served after
-  re-checking the entry against the friend's *current* chain-verified
-  head — stale copies are evicted, never shown.
+Assembly is one path: sync and chain-verify *every* friend's timeline,
+then fetch every still-needed cid through one ``fetch_many(reader,
+cids)`` call, then decrypt and verify each blob.  A caller passing a
+batch-capable ``fetch_many`` (such as
+:meth:`~repro.dosn.storage.StorageBackend.get_many`) gets one route /
+RPC per holder; otherwise ``fetch_many`` is the per-cid ``fetch`` run
+in order.  An optional
+:class:`~repro.cache.VerifiedContentCache` serves unchanged posts
+without the fetch + decrypt + verify, and its hits are only served after
+re-checking the entry against the friend's *current* chain-verified
+head — stale copies are evicted, never shown.
 
 Every :class:`FeedItem` carries a typed
 :class:`~repro.dosn.results.ReadResult` recording where its bytes came
@@ -39,8 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dosn.results import ReadResult
 from repro.dosn.user import DosnUser, VerifiedPost
-from repro.exceptions import (AccessDeniedError, IntegrityError, ReproError,
-                              StorageError)
+from repro.exceptions import AccessDeniedError, IntegrityError, ReproError
 
 
 @dataclass
@@ -96,30 +92,24 @@ def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
     decrypt+verify pipeline (defaults to the reader's own
     :meth:`~repro.dosn.user.DosnUser.open_post` — networks with a
     :class:`~repro.stack.pipeline.ProtectionStack` pass their stack's
-    ACL/integrity read path here).  For each friend: sync + chain-verify
-    their timeline, then fetch, decrypt and signature-verify each
-    referenced post.
+    ACL/integrity read path here).
 
-    Passing ``fetch_many(reader_name, cids) -> {cid: blob | exception}``
-    switches to the batched strategy; ``cache`` (a
-    :class:`~repro.cache.VerifiedContentCache`) additionally serves
+    ``fetch_many(reader_name, cids) -> {cid: blob | exception}`` is the
+    batch-capable read; without it ``fetch`` is called once per cid.
+    ``cache`` (a :class:`~repro.cache.VerifiedContentCache`) serves
     chain-validated hits without fetching, and is seeded with every post
     this assembly verifies (degraded reads are never cached).
 
-    Latency model: the feed inherits whatever the storage backend pays.
-    Under :attr:`Simulator.concurrent` the batched strategy's single
-    ``fetch_many`` rides the backend's parallel fan-out (one overlapped
-    probe per holder — see :meth:`ReplicatedStore.get_many` and
-    :meth:`ChordRing.get_many`), so a warm batched feed costs roughly the
-    slowest holder instead of the sum of all of them; the sequential
-    strategy's per-cid fetches remain dependent and still sum.
+    Latency: the feed inherits whatever the storage backend pays.  A
+    batched ``fetch_many`` rides the backend's parallel fan-out (one
+    overlapped probe per holder — see :meth:`ReplicatedStore.get_many`
+    and :meth:`ChordRing.get_many`), so it costs roughly the slowest
+    holder; per-cid fetches are each their own read.
     """
     if open_post is None:
         open_post = (lambda author, blob, cid:
                      reader.open_post(author, blob, expected_cid=cid))
-    if fetch_many is None and cache is not None:
-        # Cache without a batch-capable backend: emulate the batched
-        # contract sequentially so there is one cached code path.
+    if fetch_many is None:
         def fetch_many(r: str, cids: List[str]) -> Dict[str, object]:
             out: Dict[str, object] = {}
             for cid in cids:
@@ -130,49 +120,6 @@ def assemble_feed(reader: DosnUser, friends: Dict[str, DosnUser],
                 except ReproError as exc:
                     out[cid] = exc
             return out
-    if fetch_many is not None:
-        return _assemble_batched(reader, friends, fetch_many,
-                                 limit_per_friend, open_post, cache)
-    report = FeedReport()
-    for name in sorted(reader.friends):
-        friend = friends.get(name)
-        if friend is None:
-            continue
-        try:
-            reader.sync_timeline(friend)
-        except IntegrityError as exc:
-            report.violations.append((name, f"timeline: {exc}"))
-            continue
-        cids = reader.verified_cids(name)
-        if limit_per_friend is not None:
-            cids = cids[-limit_per_friend:]
-        for cid in cids:
-            try:
-                blob = fetch(reader.name, cid)
-            except (StorageError, ReproError) as exc:
-                report.unavailable.append((cid, str(exc)))
-                continue
-            payload, source, degraded, _ = _provenance(blob)
-            try:
-                post = open_post(name, payload, cid)
-            except (IntegrityError, AccessDeniedError) as exc:
-                report.violations.append((name, f"{cid}: {exc}"))
-                continue
-            report.items.append(FeedItem(
-                post=post, author=name,
-                result=ReadResult(post, verified=True, degraded=degraded,
-                                  source=source)))
-    report.items.sort(key=lambda item: (item.author, item.post.sequence))
-    return report
-
-
-def _assemble_batched(reader: DosnUser, friends: Dict[str, DosnUser],
-                      fetch_many: Callable[[str, List[str]],
-                                           Dict[str, object]],
-                      limit_per_friend: Optional[int],
-                      open_post: Callable[[str, bytes, str], VerifiedPost],
-                      cache) -> FeedReport:
-    """The batched strategy: sync everyone, then fetch misses in one call."""
     report = FeedReport()
     plan: List[Tuple[str, str]] = []   # (author, cid) still needing a fetch
     for name in sorted(reader.friends):

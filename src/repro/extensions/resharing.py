@@ -82,7 +82,9 @@ class ResharingSimulation:
         first_seen: Dict[str, int] = {user: 0 for user in holders}
         for round_number in range(1, rounds + 1):
             new_holders: Set[str] = set()
-            for holder in holders:
+            # Sorted: set order varies with PYTHONHASHSEED, and each
+            # holder draws from ``rng`` in turn.
+            for holder in sorted(holders):
                 for friend in self.graph.neighbors(holder):
                     friend = str(friend)
                     if friend in holders or friend in new_holders:

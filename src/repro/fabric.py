@@ -7,10 +7,8 @@ tracer to any of them.  The Fabric bundles the five cross-cutting objects
 
     ``sim`` · ``network`` · ``channel`` · ``tracer`` · ``metrics``
 
-plus a lazily-split ``rng``, and is what you now pass to ``ChordRing``,
-``KademliaOverlay``, ``DHTBackend`` and ``DosnNetwork``.  Passing a bare
-``SimNetwork`` still works for one release but raises
-:class:`repro.exceptions.ReproDeprecationWarning`.
+plus a lazily-split ``rng``, and is what you pass to ``ChordRing``,
+``KademliaOverlay``, ``DHTBackend`` and ``DosnNetwork``.
 
 Construction::
 
@@ -31,10 +29,9 @@ move any experiment's random stream.
 from __future__ import annotations
 
 import random as _random
-import warnings
 from typing import Any, Optional
 
-from repro.exceptions import ReproDeprecationWarning, SimulationError
+from repro.exceptions import SimulationError
 from repro.faults.overload import OverloadConfig, RetryBudget
 from repro.faults.resilience import (CircuitBreaker, ReliableChannel,
                                      RetryPolicy)
@@ -91,7 +88,6 @@ class Fabric:
                resilient: bool = False,
                retry: Optional[RetryPolicy] = None,
                breaker: Optional[CircuitBreaker] = None,
-               concurrent: bool = False,
                overload: Optional[OverloadConfig] = None,
                adversary: Optional[Any] = None) -> "Fabric":
         """Build a full fabric from a seed.
@@ -100,10 +96,7 @@ class Fabric:
         (``wall_clock=True`` additionally records segregated wall-clock
         span durations).  ``resilient=True`` — or passing ``retry`` /
         ``breaker`` — wires a :class:`ReliableChannel` that the overlays
-        and backends pick up automatically.  ``concurrent=True`` switches
-        the fan-out layers to critical-path latency accounting (see
-        :mod:`repro.overlay.simulator`); off, every combinator reports
-        the legacy serial sum, byte-identical to committed tables.
+        and backends pick up automatically.
         ``overload=OverloadConfig(...)`` installs the overload-protection
         stack (per-peer service queues + shedding on the network,
         deadline minting for lookups and quorum reads, a shared retry
@@ -115,7 +108,7 @@ class Fabric:
         even an attached adversary, which draws nothing — leaves every
         RNG stream untouched.
         """
-        sim = Simulator(seed, concurrent=concurrent)
+        sim = Simulator(seed)
         tracer = Tracer(lambda: sim.now, wall_clock=wall_clock) if tracing \
             else NOOP_TRACER
         metrics = MetricsRegistry()
@@ -169,23 +162,10 @@ class Fabric:
                 f"tracing={self.tracer.enabled})")
 
 
-def coerce_fabric(fabric_or_network: Any, caller: str) -> "Fabric":
-    """Accept a :class:`Fabric` or (deprecated) a bare :class:`SimNetwork`.
-
-    The constructors named in the PR-2 API redesign call this; the
-    deprecated path wraps the network in an implicit fabric so old code
-    keeps working for one release.
-    """
-    if isinstance(fabric_or_network, Fabric):
-        return fabric_or_network
-    if isinstance(fabric_or_network, SimNetwork):
-        warnings.warn(
-            f"passing a bare SimNetwork to {caller} is deprecated; build a "
-            "repro.fabric.Fabric (Fabric.create(seed=...) or "
-            "Fabric(sim, network)) and pass that instead",
-            ReproDeprecationWarning, stacklevel=3)
-        network = fabric_or_network
-        return Fabric(network.sim, network)
+def require_fabric(fabric: Any, caller: str) -> "Fabric":
+    """Return ``fabric`` if it is a :class:`Fabric`; raise otherwise."""
+    if isinstance(fabric, Fabric):
+        return fabric
     raise TypeError(
         f"{caller} expects a repro.fabric.Fabric "
-        f"(got {type(fabric_or_network).__name__})")
+        f"(got {type(fabric).__name__})")

@@ -176,9 +176,8 @@ class ReliableChannel:
         self.network = network
         self.policy = policy or RetryPolicy()
         self.breaker = breaker
-        #: stagger between hedge launches under the concurrent latency
-        #: model (:attr:`Simulator.concurrent`): candidate ``i`` launches
-        #: at virtual offset ``i * hedge_delay``, and launching stops as
+        #: stagger between hedge launches: candidate ``i`` launches at
+        #: virtual offset ``i * hedge_delay``, and launching stops as
         #: soon as an earlier request has already succeeded.
         self.hedge_delay = hedge_delay
         #: the fabric's :class:`repro.membership.SwimMembership`, set by
@@ -348,13 +347,11 @@ class ReliableChannel:
         suspects, confirmed-dead ones last (still probed: on this
         last-resort path a false confirmation must not lose the read).
 
-        Latency model: with :attr:`Simulator.concurrent` unset the legacy
-        sequential semantics apply byte-for-byte — candidates are probed
-        one after another and ``elapsed`` sums every attempt.  With it
-        set this is *true hedging*: candidate ``i`` launches at offset
-        ``i * hedge_delay``, launching stops once an earlier request has
-        already succeeded, the earliest success wins and cancels the
-        losers, and ``elapsed`` is the winner's completion offset.
+        This is true hedging on the virtual clock: candidate ``i``
+        launches at offset ``i * hedge_delay``, launching stops once an
+        earlier request has already succeeded, the earliest success wins
+        and cancels the losers, and ``elapsed`` is the winner's
+        completion offset (every launched probe's, when none succeeds).
         """
         stats = self.network.stats
         with self.network.tracer.span("channel.hedged", kind=kind,
@@ -362,14 +359,16 @@ class ReliableChannel:
             view = self._view_of(src)
             if view is not None:
                 dsts = self.membership.order_by_health(src, dsts)
-            if self.network.sim.concurrent:
-                return self._hedged_concurrent(src, dsts, kind,
-                                               payload_size, span, view,
-                                               deadline)
-            elapsed = 0.0
+            launched = []  # (launch offset, dst, future), launch order
             for i, dst in enumerate(dsts):
+                launch_at = i * self.hedge_delay
+                first_win = min((offset + future.latency
+                                 for offset, _dst, future in launched
+                                 if future.ok), default=None)
+                if first_win is not None and first_win <= launch_at:
+                    break  # an earlier request won before this hedge fires
                 now = self.network.sim.now
-                if deadline is not None and deadline.expired(now, elapsed):
+                if deadline is not None and deadline.expired(now, launch_at):
                     stats.deadline_expired += 1
                     self.network.metrics.inc("overload.deadline_expired",
                                              kind=kind)
@@ -383,78 +382,31 @@ class ReliableChannel:
                     continue
                 future = self.network.rpc_issue(src, dst, kind=kind,
                                                 payload_size=payload_size)
-                ok, rtt = future.value
-                elapsed += rtt
-                if ok:
+                launched.append((launch_at, dst, future))
+                if future.ok:
                     if view is not None:
                         view.observe_contact(dst, now)
                     elif self.breaker is not None:
                         self.breaker.record_success(dst)
                         self._export_breaker_state(dst)
-                    span.set_attr("winner", dst)
-                    return (True, dst, elapsed)
-                if view is None and self.breaker is not None \
+                elif view is None and self.breaker is not None \
                         and future.cause != "overloaded":
                     if self.breaker.record_failure(dst, now):
                         stats.breaker_trips += 1
                     self._export_breaker_state(dst)
+            successes = sorted(
+                (offset + future.latency, future.seq, dst, future)
+                for offset, dst, future in launched if future.ok)
+            if successes:
+                elapsed, _seq, winner, winning = successes[0]
+                for _offset, _dst, future in launched:
+                    if future is not winning:
+                        future.cancel()
+                span.set_attr("winner", winner)
+                span.settle_cost(elapsed)
+                return (True, winner, elapsed)
+            elapsed = max((offset + future.latency
+                           for offset, _dst, future in launched), default=0.0)
             span.set_attr("winner", None)
-            return (False, None, elapsed)
-
-    def _hedged_concurrent(self, src: str, dsts: Sequence[str], kind: str,
-                           payload_size: int, span, view,
-                           deadline: Optional[Deadline] = None
-                           ) -> Tuple[bool, Optional[str], float]:
-        """True hedging on the concurrent clock (see :meth:`hedged`)."""
-        stats = self.network.stats
-        launched = []  # (launch offset, dst, future), launch order
-        for i, dst in enumerate(dsts):
-            launch_at = i * self.hedge_delay
-            first_win = min((offset + future.latency
-                             for offset, _dst, future in launched
-                             if future.ok), default=None)
-            if first_win is not None and first_win <= launch_at:
-                break  # an earlier request won before this hedge fires
-            now = self.network.sim.now
-            if deadline is not None and deadline.expired(now, launch_at):
-                stats.deadline_expired += 1
-                self.network.metrics.inc("overload.deadline_expired",
-                                         kind=kind)
-                break
-            if i > 0:
-                stats.hedges += 1
-            if view is None and self.breaker is not None \
-                    and not self.breaker.allow(dst, now):
-                stats.breaker_fastfails += 1
-                self._export_breaker_state(dst)
-                continue
-            future = self.network.rpc_issue(src, dst, kind=kind,
-                                            payload_size=payload_size)
-            launched.append((launch_at, dst, future))
-            if future.ok:
-                if view is not None:
-                    view.observe_contact(dst, now)
-                elif self.breaker is not None:
-                    self.breaker.record_success(dst)
-                    self._export_breaker_state(dst)
-            elif view is None and self.breaker is not None \
-                    and future.cause != "overloaded":
-                if self.breaker.record_failure(dst, now):
-                    stats.breaker_trips += 1
-                self._export_breaker_state(dst)
-        successes = sorted(
-            (offset + future.latency, future.seq, dst, future)
-            for offset, dst, future in launched if future.ok)
-        if successes:
-            elapsed, _seq, winner, winning = successes[0]
-            for _offset, _dst, future in launched:
-                if future is not winning:
-                    future.cancel()
-            span.set_attr("winner", winner)
             span.settle_cost(elapsed)
-            return (True, winner, elapsed)
-        elapsed = max((offset + future.latency
-                       for offset, _dst, future in launched), default=0.0)
-        span.set_attr("winner", None)
-        span.settle_cost(elapsed)
-        return (False, None, elapsed)
+            return (False, None, elapsed)

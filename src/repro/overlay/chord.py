@@ -21,15 +21,12 @@ ring converges).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exceptions import (DeadlineExceededError, LookupError_,
-                              OverlayError, OverloadedError,
-                              ReproDeprecationWarning, StorageError)
+                              OverlayError, OverloadedError, StorageError)
 from repro.faults.overload import Deadline
 from repro.overlay.network import SimNode
 
@@ -124,17 +121,15 @@ class ChordRing:
     """A Chord overlay over a :class:`repro.fabric.Fabric`.
 
     Pass the fabric; the ring reads its network, resilient channel, and
-    tracer from it.  Passing a bare :class:`SimNetwork` (and threading a
-    ``channel=`` by hand) still works for one release but emits
-    :class:`~repro.exceptions.ReproDeprecationWarning`.
+    tracer from it.
     """
 
     def __init__(self, fabric: Any, successor_list_size: int = 4,
-                 replication: int = 1, channel: Optional[Any] = None) -> None:
-        from repro.fabric import coerce_fabric  # avoids an import cycle
+                 replication: int = 1) -> None:
+        from repro.fabric import require_fabric  # avoids an import cycle
         if replication < 1:
             raise OverlayError("replication factor must be >= 1")
-        self.fabric = coerce_fabric(fabric, "ChordRing")
+        self.fabric = require_fabric(fabric, "ChordRing")
         self.network = self.fabric.network
         self.successor_list_size = successor_list_size
         self.replication = replication
@@ -142,13 +137,6 @@ class ChordRing:
         #: when set, every routing RPC gets retries/breakers and lookups
         #: route around peers that stay unresponsive after retries.
         self.channel = self.fabric.channel
-        if channel is not None:
-            warnings.warn(
-                "ChordRing(channel=...) is deprecated; build the channel "
-                "into the Fabric (Fabric.create(resilient=True) or "
-                "Fabric(sim, network, channel=...))",
-                ReproDeprecationWarning, stacklevel=2)
-            self.channel = channel
         self.nodes: Dict[str, ChordNode] = {}
 
     def _rpc(self, src: str, dst: str, kind: str,
@@ -452,8 +440,7 @@ class ChordRing:
 
         Latency note: the replica probing here is sequential *failover*
         (try the next holder only after the previous one fails), not true
-        hedging, so its cost stays a serial sum under both latency
-        models; staggered concurrent hedging lives in
+        hedging, so its cost is a serial sum; staggered hedging lives in
         :meth:`repro.faults.ReliableChannel.hedged` and the verified path
         of :func:`repro.overlay.replication.fetch_from_holders`.
         """
@@ -562,22 +549,13 @@ class ChordRing:
                                       keys=len(seen),
                                       owners=len(groups)) as span:
             # Owner groups are independent fetch chains (route + holder
-            # probes); a real client runs them concurrently, so under the
-            # concurrent model each group is a serial sub-span and the
-            # groups roll up as max.  Spans are conditional to keep
-            # off-mode traces byte-identical.
-            concurrent = self.network.sim.concurrent
-            fanout = (self.network.tracer.span("chord.get_many.fanout",
-                                               parallel=True,
-                                               owners=len(groups))
-                      if concurrent else contextlib.nullcontext(None))
-            with fanout:
+            # probes) that a client runs concurrently: each group is a
+            # serial sub-span and the groups roll up as max.
+            with self.network.tracer.span("chord.get_many.fanout",
+                                          parallel=True, owners=len(groups)):
                 for owner, group in groups.items():
-                    group_span = (self.network.tracer.span(
-                                      "chord.get_group", owner=owner)
-                                  if concurrent
-                                  else contextlib.nullcontext(None))
-                    with group_span:
+                    with self.network.tracer.span("chord.get_group",
+                                                  owner=owner):
                         self._get_group(start, owner, group, results)
             span.set_attr("served",
                           sum(1 for v in results.values()

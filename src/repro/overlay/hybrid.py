@@ -68,8 +68,8 @@ class HybridOverlay:
     def __init__(self, fabric, graph: nx.Graph,
                  cache_capacity: int = 32, probe_limit: int = 5,
                  replication: int = 2) -> None:
-        from repro.fabric import coerce_fabric  # avoids an import cycle
-        self.fabric = coerce_fabric(fabric, "HybridOverlay")
+        from repro.fabric import require_fabric  # avoids an import cycle
+        self.fabric = require_fabric(fabric, "HybridOverlay")
         self.network = self.fabric.network
         self.graph = graph
         self.probe_limit = probe_limit

@@ -13,15 +13,12 @@ the ``k`` closest nodes.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.exceptions import (DeadlineExceededError, LookupError_,
-                              OverlayError, ReproDeprecationWarning,
-                              StorageError)
+                              OverlayError, StorageError)
 from repro.faults.overload import Deadline
 from repro.overlay.network import SimNode
 
@@ -92,14 +89,12 @@ class KademliaOverlay:
     """A Kademlia overlay over a :class:`repro.fabric.Fabric`.
 
     As with :class:`~repro.overlay.chord.ChordRing`, pass the fabric;
-    bare-``SimNetwork`` and hand-threaded ``channel=`` callers get a
-    :class:`~repro.exceptions.ReproDeprecationWarning` for one release.
+    the overlay reads its network and resilient channel from it.
     """
 
-    def __init__(self, fabric: Any, k: int = 8,
-                 alpha: int = 3, channel: Optional[Any] = None) -> None:
-        from repro.fabric import coerce_fabric  # avoids an import cycle
-        self.fabric = coerce_fabric(fabric, "KademliaOverlay")
+    def __init__(self, fabric: Any, k: int = 8, alpha: int = 3) -> None:
+        from repro.fabric import require_fabric  # avoids an import cycle
+        self.fabric = require_fabric(fabric, "KademliaOverlay")
         self.network = self.fabric.network
         self.k = k
         self.alpha = alpha
@@ -108,12 +103,6 @@ class KademliaOverlay:
         #: unresponsive peers, so retries alone recover most transient-
         #: loss failures.
         self.channel = self.fabric.channel
-        if channel is not None:
-            warnings.warn(
-                "KademliaOverlay(channel=...) is deprecated; build the "
-                "channel into the Fabric (Fabric.create(resilient=True))",
-                ReproDeprecationWarning, stacklevel=2)
-            self.channel = channel
         self.nodes: Dict[str, KademliaNode] = {}
 
     def _rpc(self, src: str, dst: str, kind: str,
@@ -158,9 +147,9 @@ class KademliaOverlay:
 
         Latency model: rounds are dependent (each consumes the previous
         round's answers) and always sum; *within* a round the alpha
-        queries are the protocol's namesake concurrency, so under
-        :attr:`Simulator.concurrent` each round is a parallel span and
-        its queries roll up as max.
+        queries are the protocol's namesake concurrency, so each round is
+        a parallel span and its queries roll up as max.  The round's
+        returned ``spent`` (which feeds the deadline) still sums them.
 
         As in :meth:`ChordRing.lookup <repro.overlay.chord.ChordRing
         .lookup>`, a ``deadline`` (minted from the fabric's overload
@@ -229,11 +218,8 @@ class KademliaOverlay:
                     break
                 hops += 1
                 improved = False
-                round_span = (self.network.tracer.span(
-                                  "kad.round", parallel=True, round=hops)
-                              if self.network.sim.concurrent
-                              else contextlib.nullcontext(None))
-                with round_span:
+                with self.network.tracer.span("kad.round", parallel=True,
+                                              round=hops):
                     for peer_name in batch:
                         if deadline is not None and deadline.expired(
                                 self.network.sim.now, spent):

@@ -112,13 +112,12 @@ def fetch_from_holders(channel, reader: str, placement: Placement,
     the holders most likely to answer are paid for first, confirmed-dead
     ones last.
 
-    Latency model: with :attr:`Simulator.concurrent` unset the verified
-    path probes sequentially and ``elapsed`` sums every attempt (the
-    legacy accounting, byte-identical).  With it set the probes are
-    staggered hedges (one launch per ``channel.hedge_delay``, launching
-    stops once an earlier *verified* response has completed) and
-    ``elapsed`` is the winner's completion offset — the failure and
-    verification semantics are unchanged.
+    Latency model: the verified probes are staggered hedges (one launch
+    per ``channel.hedge_delay``; launching stops once an earlier
+    *verified* response has completed) and ``elapsed`` is the winner's
+    completion offset.  A branch only wins when its RPC landed and its
+    bytes verified — reachable-but-lying holders cannot shorten the
+    critical path, they can only force the next hedge to launch.
     """
     holders = placement.holders
     membership = getattr(channel, "membership", None)
@@ -127,62 +126,21 @@ def fetch_from_holders(channel, reader: str, placement: Placement,
     if blob_of is None:
         ok, winner, elapsed = channel.hedged(reader, holders, kind=kind)
         return (winner if ok else None), elapsed
-    if channel.network.sim.concurrent:
-        return _fetch_verified_concurrent(channel, reader, holders, kind,
-                                          blob_of, verify)
-    stats = channel.network.stats
-    elapsed = 0.0
-    probed = 0
-    served = 0
-    for holder in holders:
-        blob = blob_of(holder)
-        if blob is None:
-            continue  # holds nothing — not worth a probe
-        if probed > 0:
-            stats.hedges += 1
-        probed += 1
-        ok, rtt = channel.call(reader, holder, kind=kind)
-        elapsed += rtt
-        if not ok:
-            continue
-        served += 1
-        if verify is None or verify(holder, blob):
-            return holder, elapsed
-    if served > 0:
-        raise ReplicaIntegrityError(
-            f"{served} holder(s) answered {reader!r} but no response "
-            "passed verification")
-    return None, elapsed
-
-
-def _fetch_verified_concurrent(channel, reader: str,
-                               holders: Sequence[str], kind: str,
-                               blob_of, verify
-                               ) -> Tuple[Optional[str], float]:
-    """The verified fetch as staggered hedges on the concurrent clock.
-
-    A branch only *wins* when its RPC landed and its bytes verified —
-    reachable-but-lying holders cannot shorten the critical path, they
-    can only force the next hedge to launch (exactly the sequential
-    semantics, minus the serial latency bill).
-    """
     stats = channel.network.stats
     launched = []  # (launch offset, holder, future, satisfied)
-    index = 0
     served = 0
     for holder in holders:
         blob = blob_of(holder)
         if blob is None:
             continue  # holds nothing — not worth a probe
-        launch_at = index * channel.hedge_delay
+        launch_at = len(launched) * channel.hedge_delay
         first_win = min((offset + future.latency
                          for offset, _h, future, satisfied in launched
                          if satisfied), default=None)
         if first_win is not None and first_win <= launch_at:
             break  # a verified response beat this hedge's launch time
-        if index > 0:
+        if launched:
             stats.hedges += 1
-        index += 1
         future = channel.call_issue(reader, holder, kind=kind)
         if future.ok:
             served += 1
@@ -198,12 +156,12 @@ def _fetch_verified_concurrent(channel, reader: str,
             if future is not winning:
                 future.cancel()
         return winner, elapsed
-    elapsed = max((offset + future.latency
-                   for offset, _h, future, _s in launched), default=0.0)
     if served > 0:
         raise ReplicaIntegrityError(
             f"{served} holder(s) answered {reader!r} but no response "
             "passed verification")
+    elapsed = max((offset + future.latency
+                   for offset, _h, future, _s in launched), default=0.0)
     return None, elapsed
 
 

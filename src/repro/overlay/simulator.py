@@ -15,23 +15,18 @@ Design points:
   number breaks ties), which removes heap nondeterminism;
 * :class:`Event` handles support cancellation (needed by churn timers).
 
-**The concurrent virtual-time kernel.**  The accounted-RPC shortcut
+**The virtual-time kernel.**  The accounted-RPC shortcut
 (:meth:`repro.overlay.network.SimNetwork.rpc`) returns an RTT without
-advancing the clock, which historically forced every fan-out path —
-quorum probes, hedged replica fetches, SWIM ping-req chains, batched
-feed fetches — to *sum* round trips a real client would overlap.
-:class:`SimFuture` fixes the accounting: an issued operation settles
-immediately (all RNG draws happen at issue time, in issue order, so the
-synchronous wrappers keep byte-identical random streams), but carries a
-virtual *completion time*.  The combinators :func:`gather`,
-:func:`quorum_of` and :func:`first_of` then reduce a fan-out to its
-critical path: with :attr:`Simulator.concurrent` set, overlapped
-operations cost the **max** (or the ``n``-th completion, for quorums) of
-their latencies instead of the sum.  Settle order is fixed by
-``(completion time, issue sequence)``, so two runs at one seed settle
-identically.  With ``concurrent=False`` (the default) every combinator
-reports the legacy serial sum, keeping committed experiment tables
-byte-identical.
+advancing the clock.  :class:`SimFuture` carries that RTT as a virtual
+*completion time*: an issued operation settles immediately (all RNG
+draws happen at issue time, in issue order, so the synchronous wrappers
+consume the random stream exactly as a blocking loop would), and the
+combinators :func:`gather`, :func:`quorum_of` and :func:`first_of`
+reduce a fan-out to its critical path — overlapped operations cost the
+**max** of their latencies (or the ``n``-th satisfying completion, for
+quorums), the way a real client that issues its probes together pays
+for them.  Settle order is fixed by ``(completion time, issue
+sequence)``, so two runs at one seed settle identically.
 """
 
 from __future__ import annotations
@@ -40,7 +35,7 @@ import heapq
 import math
 import random as _random
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.exceptions import SimulationError
 
@@ -60,19 +55,11 @@ class Event:
 
 
 class Simulator:
-    """A virtual clock plus an event queue.
+    """A virtual clock plus an event queue."""
 
-    ``concurrent`` selects the latency model the fan-out combinators
-    apply (see the module docstring): ``False`` (default) preserves the
-    legacy sum-of-round-trips accounting byte-for-byte; ``True`` makes
-    overlapped operations pay their critical path.
-    """
-
-    def __init__(self, seed: int = 0, concurrent: bool = False) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.rng = _random.Random(seed)
-        #: latency model for fan-out: critical path (True) vs serial sum
-        self.concurrent = concurrent
         self._queue: List[Event] = []
         self._sequence = 0
         self._future_sequence = 0
@@ -197,86 +184,47 @@ class SimFuture:
                 f"latency={self.latency:.4f})")
 
 
-@dataclass
-class FanoutResult:
-    """What a combinator settled: winners, order, and the elapsed cost.
-
-    ``elapsed`` follows the simulator's latency model — critical path
-    when :attr:`Simulator.concurrent`, serial sum otherwise — while
-    ``sum_latency`` / ``max_latency`` always carry both views so
-    benchmarks can report the sequential/concurrent gap from one run.
-    """
-
-    futures: List[SimFuture]        #: issue order, as passed in
-    settled: List[SimFuture]        #: (completion, seq) order
-    winners: List[SimFuture]        #: first ``n`` satisfying, settle order
-    met: bool                       #: whether the quorum was reached
-    elapsed: float                  #: cost under the simulator's model
-    sum_latency: float              #: serial accounting (sum of latencies)
-    max_latency: float              #: waiting for *every* branch
-
-
 def quorum_of(n: int, futures: Sequence[SimFuture],
               predicate: Optional[Callable[[SimFuture], bool]] = None
-              ) -> FanoutResult:
+              ) -> float:
     """Settle a fan-out when ``n`` satisfying branches have completed.
 
+    Returns the elapsed critical path: the ``n``-th satisfying
+    completion relative to the earliest issue (the client returns as
+    soon as the quorum is in).  An unmet quorum waits for every branch.
     ``predicate`` marks the satisfying branches (default:
     :attr:`SimFuture.ok`).  Settle order is ``(completion, seq)`` —
-    deterministic across runs at one seed.  Under the concurrent model
-    ``elapsed`` is the ``n``-th satisfying completion relative to the
-    earliest issue (the client returns as soon as the quorum is in); an
-    unmet quorum waits for every branch (``max_latency``).  Under the
-    serial model ``elapsed`` is the sum of every branch's latency —
-    exactly what the pre-kernel sequential loops paid.  Branches that
-    complete after the settle point are flagged ``cancelled``.
+    deterministic across runs at one seed.  Branches that complete
+    after the settle point are flagged ``cancelled``.
     """
-    futures = list(futures)
+    if not futures:
+        return 0.0
     if predicate is None:
         predicate = lambda future: future.ok  # noqa: E731
-    sum_latency = sum(future.latency for future in futures)
-    if not futures:
-        return FanoutResult(futures=[], settled=[], winners=[],
-                            met=n <= 0, elapsed=0.0, sum_latency=0.0,
-                            max_latency=0.0)
     epoch = min(future.issued_at for future in futures)
     settled = sorted(futures, key=lambda f: (f.completion, f.seq))
-    max_latency = settled[-1].completion - epoch
-    winners: List[SimFuture] = []
-    for future in settled:
-        if len(winners) < n and predicate(future):
-            winners.append(future)
-    met = len(winners) >= n
     if n <= 0:
         # Nothing to wait for: the quorum was satisfied before any of
         # these branches was needed (e.g. local write acks covered W).
-        critical = 0.0
-    elif met:
-        settle_at = winners[-1].completion
-        for future in settled:
-            if future.completion > settle_at or (
-                    future.completion == settle_at
-                    and future.seq > winners[-1].seq):
-                future.cancel()
-        critical = settle_at - epoch
-    else:
-        critical = max_latency
-    concurrent = futures[0].sim.concurrent
-    return FanoutResult(
-        futures=futures, settled=settled, winners=winners, met=met,
-        elapsed=(critical if concurrent else sum_latency),
-        sum_latency=sum_latency, max_latency=max_latency)
+        return 0.0
+    winners = [future for future in settled if predicate(future)][:n]
+    if len(winners) < n:
+        return settled[-1].completion - epoch
+    last = winners[-1]
+    for future in settled:
+        if (future.completion, future.seq) > (last.completion, last.seq):
+            future.cancel()
+    return last.completion - epoch
 
 
-def gather(futures: Sequence[SimFuture]) -> FanoutResult:
-    """Wait for *every* branch: elapsed is the max (or serial sum)."""
-    futures = list(futures)
+def gather(futures: Sequence[SimFuture]) -> float:
+    """Wait for *every* branch: the elapsed cost is the slowest one."""
     return quorum_of(len(futures), futures, predicate=lambda f: True)
 
 
 def first_of(futures: Sequence[SimFuture],
              predicate: Optional[Callable[[SimFuture], bool]] = None
-             ) -> FanoutResult:
+             ) -> float:
     """Settle on the first satisfying branch (a 1-quorum)."""
     return quorum_of(1, futures, predicate=predicate)
 

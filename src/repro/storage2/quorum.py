@@ -18,7 +18,6 @@ Detection counters (via ``fabric.metrics`` / :mod:`repro.obs`):
 
 from __future__ import annotations
 
-import contextlib
 import random as _random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -43,11 +42,9 @@ class ReadResult:
     checked — never tampered bytes) but fewer than ``R`` holders
     answered, so the usual freshness guarantee does not apply.
 
-    ``elapsed`` is the read's client-visible latency under the fabric's
-    model: the serial sum of every probe with
-    :attr:`Simulator.concurrent` unset, the critical path to the R-th
-    *verified* response with it set.  Read-repair pushes are background
-    traffic and excluded either way.
+    ``elapsed`` is the read's client-visible latency: the critical path
+    to the R-th *verified* response (the probes overlap).  Read-repair
+    pushes are background traffic and excluded.
     """
 
     payload: bytes
@@ -137,17 +134,6 @@ class ReplicatedStore:
         if overload is None:
             return None
         return overload.mint_deadline(self.sim.now)
-
-    def _fanout_span(self, name: str, **attrs):
-        """A parallel sub-span for a probe fan-out — concurrent mode only.
-
-        Off-mode traces must stay byte-identical to committed tables, so
-        the extra span exists only when the simulator accounts critical
-        paths (its cost is then settled to the quorum's settle point).
-        """
-        if self.sim.concurrent:
-            return self.network.tracer.span(name, parallel=True, **attrs)
-        return contextlib.nullcontext(None)
 
     def holders_of(self, key: str) -> List[str]:
         """The current replica holders (placement, else the ring's set)."""
@@ -240,8 +226,9 @@ class ReplicatedStore:
             acks = 0
             local_acks = 0
             pushes: List[SimFuture] = []
-            with self._fanout_span("storage2.put.fanout", key=key,
-                                   holders=len(holders)) as fanout:
+            with self.network.tracer.span("storage2.put.fanout",
+                                          parallel=True, key=key,
+                                          holders=len(holders)) as fanout:
                 for holder in holders:
                     if holder == coordinator:
                         node = self.ring.nodes.get(holder)
@@ -256,12 +243,11 @@ class ReplicatedStore:
                     if future.ok:
                         self.store_at(holder, key, encoded)
                         acks += 1
-                if fanout is not None:
-                    # The writer returns at the W-th ack; pushes past it
-                    # (and an already-satisfied local quorum) complete in
-                    # the background.
-                    need = max(0, self.config.w - local_acks)
-                    fanout.settle_cost(quorum_of(need, pushes).elapsed)
+                # The writer returns at the W-th ack; pushes past it (and
+                # an already-satisfied local quorum) complete in the
+                # background.
+                need = max(0, self.config.w - local_acks)
+                fanout.settle_cost(quorum_of(need, pushes))
             span.set_attr("version", version)
             span.set_attr("acks", acks)
             self.metrics.inc("storage.quorum_writes")
@@ -304,7 +290,6 @@ class ReplicatedStore:
             sheds = 0
             spent = 0.0
             deadline_hit = False
-            concurrent = self.sim.concurrent
             probes: List[SimFuture] = []
             holders = self.holders_of(key)
             membership = getattr(self.fabric, "membership", None)
@@ -315,7 +300,8 @@ class ReplicatedStore:
                 # Quarantined holders are probed last: an honest replica
                 # set satisfies R before a known liar is ever consulted.
                 holders = adversary.quarantine.order_last(holders)
-            with self._fanout_span("storage2.get.fanout", key=key) as fanout:
+            with self.network.tracer.span("storage2.get.fanout",
+                                          parallel=True, key=key) as fanout:
                 for holder in holders:
                     node = self.ring.nodes.get(holder)
                     if node is None or key not in node.store:
@@ -335,11 +321,9 @@ class ReplicatedStore:
                         deadline=None if deadline is None
                         else deadline.minus(spent))
                     probes.append(future)
-                    # Deadline accounting matches the latency model: the
-                    # serial clock pays probes back to back, the
-                    # concurrent clock overlaps them.
-                    spent = max(spent, future.latency) if concurrent \
-                        else spent + future.latency
+                    # The probes overlap: the budget is spent by the
+                    # slowest one issued so far, not their sum.
+                    spent = max(spent, future.latency)
                     if future.cause == "overloaded":
                         sheds += 1
                     if not future.ok:
@@ -357,12 +341,11 @@ class ReplicatedStore:
                     responses.append((holder, record))
                 # The client returns at the R-th *verified* response; an
                 # unmet quorum waits out every probe.
-                fanout_result = quorum_of(self.config.r, probes)
-                if fanout is not None:
-                    fanout.settle_cost(fanout_result.elapsed)
+                elapsed = quorum_of(self.config.r, probes)
+                fanout.settle_cost(elapsed)
             try:
                 return self._settle(reader, key, responses, rejected, span,
-                                    elapsed=fanout_result.elapsed)
+                                    elapsed=elapsed)
             except StorageError as exc:
                 if deadline_hit:
                     raise DeadlineExceededError(
@@ -487,10 +470,10 @@ class ReplicatedStore:
             deadline = self._mint_deadline()
             spent = 0.0
             deadline_hit = False
-            concurrent = self.sim.concurrent
             batch_probes: List[SimFuture] = []
-            with self._fanout_span("storage2.get_many.fanout",
-                                   holders=len(want)) as fanout:
+            with self.network.tracer.span("storage2.get_many.fanout",
+                                          parallel=True,
+                                          holders=len(want)) as fanout:
                 for holder, holder_keys in want.items():
                     if deadline is not None \
                             and deadline.expired(self.sim.now, spent):
@@ -503,8 +486,7 @@ class ReplicatedStore:
                         reader, holder, "quorum_read_batch",
                         deadline=None if deadline is None
                         else deadline.minus(spent))
-                    spent = max(spent, future.latency) if concurrent \
-                        else spent + future.latency
+                    spent = max(spent, future.latency)
                     batch_probes.append(future)
                     for key in holder_keys:
                         key_probes[key].append(future)
@@ -522,10 +504,9 @@ class ReplicatedStore:
                             continue
                         responses[key].append((holder, record))
                         key_verified[key].add(future.seq)
-                if fanout is not None:
-                    # The batch's wire cost: every holder answers once;
-                    # the slowest probe bounds the batch.
-                    fanout.settle_cost(gather(batch_probes).elapsed)
+                # The batch's wire cost: every holder answers once; the
+                # slowest probe bounds the batch.
+                fanout.settle_cost(gather(batch_probes))
             span.set_attr("reachable", reachable)
             settled = 0
             for key in ordered:
@@ -539,7 +520,7 @@ class ReplicatedStore:
                     results[key] = self._settle(reader, key,
                                                 responses[key],
                                                 rejected[key],
-                                                elapsed=per_key.elapsed)
+                                                elapsed=per_key)
                     settled += 1
                 except (StorageError, ReplicaIntegrityError) as exc:
                     if isinstance(exc, StorageError):

@@ -1,4 +1,4 @@
-"""ReadResult: the typed read API and its one-release deprecation shim."""
+"""ReadResult: the typed read API."""
 
 import warnings
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.dosn import READ_SOURCES, DosnConfig, DosnNetwork, ReadResult
 from repro.dosn.user import VerifiedPost
-from repro.exceptions import ReproDeprecationWarning
 
 
 def _post(**overrides):
@@ -32,18 +31,6 @@ class TestTypedFields:
         with pytest.raises(ValueError, match="source"):
             ReadResult(_post(), source="carrier-pigeon")
 
-
-class TestDeprecationShim:
-    """Old call sites wrote `net.read(...).text`; that works one more
-    release, loudly."""
-
-    @pytest.mark.parametrize("name", ["author", "sequence", "text", "tags",
-                                      "content_id"])
-    def test_proxied_attributes_warn_and_forward(self, name):
-        result = ReadResult(_post())
-        with pytest.warns(ReproDeprecationWarning, match=name):
-            assert getattr(result, name) == getattr(result.post, name)
-
     def test_typed_access_does_not_warn(self):
         result = ReadResult(_post())
         with warnings.catch_warnings():
@@ -52,13 +39,16 @@ class TestDeprecationShim:
             assert result.source == "bare"
             assert result.verified and not result.degraded
 
-    def test_unproxied_attribute_is_a_plain_error(self):
-        with pytest.raises(AttributeError):
-            ReadResult(_post()).no_such_field
+    def test_post_fields_are_not_forwarded(self):
+        result = ReadResult(_post())
+        for name in ("author", "sequence", "text", "tags", "content_id",
+                     "no_such_field"):
+            with pytest.raises(AttributeError):
+                getattr(result, name)
 
 
 class TestNetworkReturnsReadResult:
-    def test_read_returns_typed_result_with_legacy_shim(self):
+    def test_read_returns_typed_result(self):
         net = DosnNetwork(config=DosnConfig(architecture="local", seed=3))
         net.add_users(["alice", "bob"])
         net.befriend("alice", "bob")
@@ -66,8 +56,6 @@ class TestNetworkReturnsReadResult:
         result = net.read("bob", "alice", cid)
         assert isinstance(result, ReadResult)
         assert result.post.text == "typed now"
-        with pytest.warns(ReproDeprecationWarning):
-            assert result.text == "typed now"
 
     def test_feed_items_carry_results(self):
         net = DosnNetwork(config=DosnConfig(architecture="local", seed=3))

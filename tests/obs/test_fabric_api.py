@@ -1,10 +1,10 @@
-"""Fabric/DosnConfig surface: wiring, deprecations, failure-cause metrics."""
+"""Fabric/DosnConfig surface: wiring, validation, failure-cause metrics."""
 
 import pytest
 
 from repro.dosn import DosnConfig, DosnNetwork
 from repro.dosn.storage import DHTBackend
-from repro.exceptions import OverlayError, ReproDeprecationWarning
+from repro.exceptions import OverlayError
 from repro.fabric import Fabric
 from repro.faults import (Crash, FaultPlan, Partition, ReliableChannel,
                           RetryPolicy)
@@ -56,30 +56,22 @@ class TestFabric:
         with pytest.raises(TypeError, match="ChordRing"):
             ChordRing(object())
 
-
-class TestDeprecations:
-    def test_bare_network_warns_but_works(self):
+    def test_bare_network_and_channel_kwarg_rejected(self):
         net = SimNetwork(Simulator(5))
-        with pytest.warns(ReproDeprecationWarning):
-            ring = ChordRing(net)
-        assert ring.network is net
-        with pytest.warns(ReproDeprecationWarning):
-            overlay = KademliaOverlay(net)
-        assert overlay.network is net
-
-    def test_explicit_channel_kwarg_warns_but_is_honored(self):
+        with pytest.raises(TypeError, match="ChordRing"):
+            ChordRing(net)
+        with pytest.raises(TypeError, match="KademliaOverlay"):
+            KademliaOverlay(net)
         fab = Fabric.create(seed=5)
         channel = ReliableChannel(fab.network, RetryPolicy(max_attempts=2))
-        with pytest.warns(ReproDeprecationWarning):
-            ring = ChordRing(fab, channel=channel)
-        assert ring.channel is channel
-        with pytest.warns(ReproDeprecationWarning):
-            backend = DHTBackend(ring, channel=channel)
-        assert backend.ring.channel is channel
+        with pytest.raises(TypeError):
+            ChordRing(fab, channel=channel)
+        with pytest.raises(TypeError):
+            DHTBackend(ChordRing(fab), channel=channel)
 
+
+class TestDosnConfig:
     def test_dosn_loose_kwargs_removed(self):
-        # The one-release deprecation window for the loose constructor
-        # kwargs is over: DosnConfig is the only spelling now.
         with pytest.raises(TypeError, match="unexpected"):
             DosnNetwork(architecture="local", seed=1,
                         encrypt_content=False)
@@ -95,8 +87,6 @@ class TestDeprecations:
                                             encrypt_content=False))
         assert net.config.encrypt_content is False
 
-
-class TestDosnConfig:
     def test_validates_architecture(self):
         with pytest.raises(OverlayError):
             DosnConfig(architecture="blockchain")

@@ -1,13 +1,15 @@
-"""End-to-end latency-model tests for the migrated fan-out consumers.
+"""End-to-end latency tests for the fan-out consumers.
 
-Each consumer must (a) keep its wire cost and failure/verification
-semantics identical in both modes, (b) report a strictly lower elapsed
-under ``concurrent=True``, and (c) stay byte-identical to the legacy
-accounting when the mode is off — the committed-table contract.
+Every fan-out pays its critical path: a quorum read settles at the R-th
+*verified* response, a batched read per key at the R-th holder whose
+copy of that key verified, and a hedged fetch at the earliest success.
+The probes themselves (and so the messages and RNG draws) are exactly
+those a sequential loop would issue.
 """
 
 import pytest
 
+from repro.dosn import DosnConfig, DosnNetwork
 from repro.fabric import Fabric
 from repro.overlay.chord import ChordRing
 from repro.overlay.network import SimNode
@@ -16,9 +18,8 @@ from repro.storage2 import ReplicatedStore, ReplicationConfig
 PEERS = [f"p{i}" for i in range(12)]
 
 
-def make_store(concurrent, seed=7, tracing=False):
-    fabric = Fabric.create(seed=seed, concurrent=concurrent,
-                           tracing=tracing)
+def make_store(seed=7):
+    fabric = Fabric.create(seed=seed, tracing=True)
     ring = ChordRing(fabric, replication=3)
     for name in PEERS:
         ring.add_node(name)
@@ -27,64 +28,75 @@ def make_store(concurrent, seed=7, tracing=False):
     return fabric, ring, store
 
 
-def quorum_read_cell(concurrent):
-    fabric, ring, store = make_store(concurrent)
-    store.put("p0", "k", b"payload")
-    holders = store.placements["k"]
-    reader = next(n for n in PEERS if n not in holders)
-    fabric.network.stats.reset()
-    result = store.get(reader, "k")
-    return fabric.network.stats.summary(), result
+def rpc_costs(tracer, kind):
+    """The RTT of every ``kind`` RPC traced so far, in issue order."""
+    return [span.cost for span in tracer.spans
+            if span.name == "net.rpc" and span.attrs.get("kind") == kind]
 
 
 class TestQuorumReadLatency:
-    def test_concurrent_strictly_below_serial_at_equal_messages(self):
-        serial_stats, serial = quorum_read_cell(concurrent=False)
-        conc_stats, conc = quorum_read_cell(concurrent=True)
-        assert serial_stats == conc_stats  # identical wire cost
-        assert serial.payload == conc.payload == b"payload"
-        assert serial.verified == conc.verified
-        assert 0.0 < conc.elapsed < serial.elapsed
-
-    def test_serial_elapsed_is_the_probe_sum(self):
-        fabric, ring, store = make_store(concurrent=False)
-        store.put("p0", "k", b"payload")
-        reader = next(n for n in PEERS if n not in store.placements["k"])
-        result = store.get(reader, "k")
-        # 3 probes, every RTT drawn from [0.01, 0.1]*2 (round trip is
-        # sampled as one uniform draw per direction pair in _rpc_inner);
-        # the serial bill is bounded below by 3 one-way minimums.
-        assert result.elapsed >= 3 * 0.010
-
     def test_concurrent_settles_at_rth_verified(self):
-        fabric, ring, store = make_store(concurrent=True)
+        fabric, ring, store = make_store()
         store.put("p0", "k", b"payload")
         reader = next(n for n in PEERS if n not in store.placements["k"])
+        fabric.tracer.clear()
         result = store.get(reader, "k")
-        # R=2 of 3: the slowest probe is never on the critical path, so
-        # the read is cheaper than waiting for all holders.
-        assert result.verified >= 2
+        probes = rpc_costs(fabric.tracer, "quorum_read")
+        assert len(probes) == result.verified == 3
+        # R=2 of 3 honest holders: the read is in at the second-fastest
+        # probe; the slowest is never on the critical path.
+        assert result.elapsed == pytest.approx(sorted(probes)[1])
+
+    def test_concurrent_strictly_below_serial_at_equal_messages(self):
+        fabric, ring, store = make_store()
+        store.put("p0", "k", b"payload")
+        reader = next(n for n in PEERS if n not in store.placements["k"])
+        fabric.tracer.clear()
+        fabric.network.stats.reset()
+        result = store.get(reader, "k")
+        probes = rpc_costs(fabric.tracer, "quorum_read")
+        # the wire cost is a serial loop's (one request + one response
+        # per holder), the latency strictly below that loop's bill
+        assert fabric.network.stats.messages == 2 * len(probes) == 6
+        assert result.payload == b"payload"
+        assert 0.0 < result.elapsed < sum(probes)
+
+    def test_dosn_default_read_settles_at_rth_verified(self):
+        net = DosnNetwork(config=DosnConfig(
+            seed=7, tracing=True,
+            replication=ReplicationConfig(n=3, r=2, w=2)))
+        net.add_users(PEERS)
+        cid = net.post("p0", "hello")
+        store = net.storage.quorum
+        reader = next(n for n in PEERS if n not in store.placements[cid])
+        net.tracer.clear()
+        result = store.get(reader, cid)
+        probes = rpc_costs(net.tracer, "quorum_read")
+        assert result.verified == len(probes) == 3
+        assert result.elapsed == pytest.approx(sorted(probes)[1])
+        assert result.elapsed != pytest.approx(sum(probes))
 
     def test_batched_get_many_settles_per_key(self):
-        for concurrent in (False, True):
-            fabric, ring, store = make_store(concurrent)
-            for i in range(4):
-                store.put("p0", f"k{i}", b"v%d" % i)
-            reader = "p7"
-            results = store.get_many(reader,
-                                     [f"k{i}" for i in range(4)])
-            assert all(results[f"k{i}"].payload == b"v%d" % i
-                       for i in range(4))
-            if concurrent:
-                conc_elapsed = [results[k].elapsed for k in results]
-            else:
-                serial_elapsed = [results[k].elapsed for k in results]
-        assert sum(conc_elapsed) < sum(serial_elapsed)
+        fabric, ring, store = make_store()
+        keys = [f"k{i}" for i in range(4)]
+        for i, key in enumerate(keys):
+            store.put("p0", key, b"v%d" % i)
+        fabric.tracer.clear()
+        results = store.get_many("p7", keys)
+        assert [results[k].payload for k in keys] == \
+            [b"v%d" % i for i in range(4)]
+        probes = rpc_costs(fabric.tracer, "quorum_read_batch")
+        for key in keys:
+            # each key settles on one of the shared batch probes — the
+            # R-th of its own holders — never on their sum
+            assert min(abs(results[key].elapsed - cost) for cost in probes) \
+                == pytest.approx(0.0)
+            assert results[key].elapsed <= max(probes)
 
 
-def hedged_cell(concurrent, offline=()):
+def hedged_cell(offline=()):
     fabric = Fabric.create(seed=11, loss_rate=0.15, resilient=True,
-                           concurrent=concurrent)
+                           tracing=True)
     for name in PEERS:
         fabric.network.register(SimNode(name))
     for name in offline:
@@ -94,7 +106,7 @@ def hedged_cell(concurrent, offline=()):
 
 class TestHedgedFanout:
     def test_winner_and_cancellation_semantics(self):
-        fabric = hedged_cell(concurrent=True, offline=("p1",))
+        fabric = hedged_cell(offline=("p1",))
         ok, winner, elapsed = fabric.channel.hedged(
             "p0", ["p1", "p2", "p3"], kind="fetch")
         assert ok
@@ -102,35 +114,30 @@ class TestHedgedFanout:
         assert elapsed > 0.0
 
     def test_concurrent_cheaper_than_serial_on_failover(self):
-        # p1 and p2 offline: the serial path pays both timeouts in full,
-        # the hedged path overlaps them with the p3 probe.
-        serial = hedged_cell(concurrent=False, offline=("p1", "p2"))
-        s_ok, s_winner, s_elapsed = serial.channel.hedged(
+        # p1 and p2 offline: a serial loop would pay both timeouts in
+        # full before asking p3; the hedges overlap them with p3's probe.
+        fabric = hedged_cell(offline=("p1", "p2"))
+        ok, winner, elapsed = fabric.channel.hedged(
             "p0", ["p1", "p2", "p3"], kind="fetch")
-        conc = hedged_cell(concurrent=True, offline=("p1", "p2"))
-        c_ok, c_winner, c_elapsed = conc.channel.hedged(
+        assert ok and winner == "p3"
+        probes = rpc_costs(fabric.tracer, "fetch")
+        assert len(probes) == 3
+        assert elapsed < sum(probes)
+        assert elapsed == pytest.approx(
+            2 * fabric.channel.hedge_delay + probes[2])
+
+    def test_all_dead_fails(self):
+        fabric = hedged_cell(offline=("p1", "p2", "p3"))
+        ok, winner, elapsed = fabric.channel.hedged(
             "p0", ["p1", "p2", "p3"], kind="fetch")
-        assert s_ok and c_ok
-        assert s_winner == c_winner == "p3"
-        assert c_elapsed < s_elapsed
-
-    def test_all_dead_fails_in_both_modes(self):
-        for concurrent in (False, True):
-            fabric = hedged_cell(concurrent=concurrent,
-                                 offline=("p1", "p2", "p3"))
-            ok, winner, elapsed = fabric.channel.hedged(
-                "p0", ["p1", "p2", "p3"], kind="fetch")
-            assert not ok
-            assert winner is None
-            assert elapsed > 0.0
+        assert not ok
+        assert winner is None
+        assert elapsed > 0.0
 
 
-class TestOffModeByteIdentity:
-    """concurrent=False must reproduce the legacy run exactly."""
-
-    def _legacy_trace(self, concurrent):
-        fabric, ring, store = make_store(concurrent=concurrent, seed=2015,
-                                         tracing=True)
+class TestFanoutDeterminism:
+    def _trace(self):
+        fabric, ring, store = make_store(seed=2015)
         for i in range(5):
             store.put(f"p{i}", f"k{i}", b"blob-%d" % i)
         reads = [store.get(f"p{(i + 6) % 12}", f"k{i}") for i in range(5)]
@@ -138,32 +145,13 @@ class TestOffModeByteIdentity:
         spans = [(s.name, s.parent_id, round(s.cost, 12),
                   sorted(s.attrs.items()))
                  for s in fabric.tracer.spans]
-        stats = fabric.network.stats.summary()
         payloads = ([r.payload for r in reads] +
                     [batch[k].payload for k in sorted(batch)])
-        return spans, stats, payloads
+        return spans, fabric.network.stats.summary(), payloads
 
-    def test_off_mode_matches_itself_and_draws_match_on_mode(self):
-        first_spans, first_stats, first_payloads = \
-            self._legacy_trace(concurrent=False)
-        second_spans, second_stats, second_payloads = \
-            self._legacy_trace(concurrent=False)
-        assert first_spans == second_spans
-        assert first_stats == second_stats
-        # Turning the mode ON must not perturb the RNG stream: identical
-        # messages/bytes/timeouts, identical payloads — only span shape
-        # and cost attribution may differ.
-        conc_spans, conc_stats, conc_payloads = \
-            self._legacy_trace(concurrent=True)
-        assert conc_stats == first_stats
-        assert conc_payloads == first_payloads
-
-    def test_no_fanout_spans_in_off_mode(self):
-        spans, _, _ = self._legacy_trace(concurrent=False)
-        names = {name for name, *_ in spans}
-        assert "storage2.get.fanout" not in names
-        assert "storage2.get_many.fanout" not in names
-        conc_names = {name for name, *_ in
-                      self._legacy_trace(concurrent=True)[0]}
-        assert "storage2.get.fanout" in conc_names
-        assert "storage2.get_many.fanout" in conc_names
+    def test_two_runs_trace_identically(self):
+        first = self._trace()
+        assert self._trace() == first
+        names = {name for name, *_ in first[0]}
+        assert {"storage2.put.fanout", "storage2.get.fanout",
+                "storage2.get_many.fanout"} <= names

@@ -554,6 +554,10 @@ class TestMembershipChannel:
         fab, channel, membership = self._channel()
         view = membership.view_of("p0")
         view.records["p1"].state = "dead"
+        # A hedge launches only when the earlier probe has not answered
+        # within hedge_delay; staggered past the 0.1 s RTT, the healthy
+        # holder (probed first) answers before the dead one is launched.
+        channel.hedge_delay = 0.2
         ok, winner, _ = channel.hedged("p0", ["p1", "p2"])
         assert ok and winner == "p2"
         assert fab.network.stats.hedges == 0  # the dead one was never paid

@@ -1,23 +1,23 @@
-"""Tests for the concurrent virtual-time kernel (SimFuture + combinators).
+"""Tests for the virtual-time kernel (SimFuture + combinators).
 
 Three contracts are pinned here:
 
 * **settle determinism** — two runs at one seed settle every fan-out in
   the identical ``(completion, seq)`` order;
-* **latency models** — concurrent ``elapsed`` is the critical path
-  (n-th satisfying completion), serial ``elapsed`` is the legacy sum;
+* **latency model** — a combinator's elapsed cost is the critical path
+  (the n-th satisfying completion);
 * **draw compatibility** — the synchronous ``rpc`` wrapper over
   ``rpc_issue`` consumes the RNG identically to the pre-kernel code: a
   golden trace recorded against the blocking implementation must
-  reproduce byte-for-byte, in both modes.
+  reproduce byte-for-byte.
 """
 
 import pytest
 
 from repro.exceptions import SimulationError
 from repro.overlay.network import SimNetwork, SimNode
-from repro.overlay.simulator import (FanoutResult, SimFuture, Simulator,
-                                     first_of, gather, quorum_of)
+from repro.overlay.simulator import (Simulator, first_of, gather,
+                                     quorum_of)
 
 
 class TestScheduleValidation:
@@ -49,7 +49,7 @@ class TestScheduleValidation:
 
 class TestSimFuture:
     def test_settles_at_issue_with_completion_time(self):
-        sim = Simulator(concurrent=True)
+        sim = Simulator()
         sim.schedule(5.0, lambda: None)
         sim.run()
         future = sim.future(0.25, value=("ok", 0.25))
@@ -79,78 +79,59 @@ def _futures(sim, latencies, ok=None):
 
 class TestCombinators:
     def test_quorum_concurrent_elapsed_is_nth_completion(self):
-        sim = Simulator(concurrent=True)
+        sim = Simulator()
         futures = _futures(sim, [0.3, 0.1, 0.2])
-        result = quorum_of(2, futures)
-        assert result.met
-        # settle order: 0.1, 0.2, 0.3 — the quorum is in at 0.2
-        assert [f.value for f in result.settled] == [1, 2, 0]
-        assert [f.value for f in result.winners] == [1, 2]
-        assert result.elapsed == pytest.approx(0.2)
-        assert result.sum_latency == pytest.approx(0.6)
-        assert result.max_latency == pytest.approx(0.3)
+        # settle order: 0.1, 0.2, 0.3 — the quorum is in at 0.2, not at
+        # the 0.6 the probes would sum to
+        assert quorum_of(2, futures) == pytest.approx(0.2)
         # the branch past the settle point is cancelled, not un-issued
         assert futures[0].cancelled
-        assert not futures[1].cancelled
-
-    def test_quorum_serial_elapsed_is_sum(self):
-        sim = Simulator(concurrent=False)
-        result = quorum_of(2, _futures(sim, [0.3, 0.1, 0.2]))
-        assert result.met
-        assert result.elapsed == pytest.approx(0.6)
+        assert not futures[1].cancelled and not futures[2].cancelled
 
     def test_unmet_quorum_pays_max(self):
-        sim = Simulator(concurrent=True)
-        result = quorum_of(2, _futures(sim, [0.3, 0.1, 0.2],
-                                       ok=[False, True, False]))
-        assert not result.met
-        assert result.elapsed == pytest.approx(0.3)
+        sim = Simulator()
+        futures = _futures(sim, [0.3, 0.1, 0.2], ok=[False, True, False])
+        assert quorum_of(2, futures) == pytest.approx(0.3)
+        assert not any(f.cancelled for f in futures)
 
     def test_zero_quorum_is_free(self):
-        sim = Simulator(concurrent=True)
-        result = quorum_of(0, _futures(sim, [0.3, 0.1]))
-        assert result.met
-        assert result.elapsed == 0.0
+        sim = Simulator()
+        assert quorum_of(0, _futures(sim, [0.3, 0.1])) == 0.0
 
     def test_empty_fanout(self):
-        assert quorum_of(0, []).met
-        assert not quorum_of(1, []).met
-        assert quorum_of(1, []).elapsed == 0.0
+        assert quorum_of(0, []) == 0.0
+        assert quorum_of(1, []) == 0.0
 
     def test_predicate_filters_winners(self):
-        sim = Simulator(concurrent=True)
+        sim = Simulator()
         futures = _futures(sim, [0.1, 0.2, 0.3])
-        result = quorum_of(1, futures,
-                           predicate=lambda f: f.value == 2)
-        assert [f.value for f in result.winners] == [2]
-        assert result.elapsed == pytest.approx(0.3)
+        assert quorum_of(1, futures, predicate=lambda f: f.value == 2) \
+            == pytest.approx(0.3)
+        assert not any(f.cancelled for f in futures)
 
     def test_gather_waits_for_everything(self):
-        sim = Simulator(concurrent=True)
+        sim = Simulator()
         # gather counts even failed branches: it models "wait for all"
-        result = gather(_futures(sim, [0.3, 0.1], ok=[False, True]))
-        assert result.met
-        assert result.elapsed == pytest.approx(0.3)
+        assert gather(_futures(sim, [0.3, 0.1], ok=[False, True])) \
+            == pytest.approx(0.3)
 
     def test_first_of_is_a_one_quorum(self):
-        sim = Simulator(concurrent=True)
-        result = first_of(_futures(sim, [0.3, 0.1, 0.2],
-                                   ok=[True, False, True]))
-        assert [f.value for f in result.winners] == [2]
-        assert result.elapsed == pytest.approx(0.2)
+        sim = Simulator()
+        futures = _futures(sim, [0.3, 0.1, 0.2], ok=[True, False, True])
+        assert first_of(futures) == pytest.approx(0.2)
+        assert [f.cancelled for f in futures] == [True, False, False]
 
     def test_equal_completions_break_on_issue_sequence(self):
-        sim = Simulator(concurrent=True)
+        sim = Simulator()
         futures = _futures(sim, [0.2, 0.2, 0.2])
-        result = quorum_of(1, futures)
-        assert result.winners[0] is futures[0]
+        assert quorum_of(1, futures) == pytest.approx(0.2)
         # later same-instant branches are cancelled (seq tie-break)
         assert not futures[0].cancelled
         assert futures[1].cancelled and futures[2].cancelled
 
     def test_settle_order_deterministic_across_runs(self):
         def run():
-            sim = Simulator(seed=7, concurrent=True)
+            sim = Simulator(seed=7)
             net = SimNetwork(sim, loss_rate=0.05)
             for i in range(8):
                 net.register(SimNode(f"n{i}"))
@@ -159,10 +140,9 @@ class TestCombinators:
                 futures = [net.rpc_issue(f"n{j % 8}", f"n{(j + k) % 8}",
                                          kind="fanout")
                            for k in range(1, 5)]
-                result = quorum_of(2, futures)
-                orders.append(([f.seq for f in result.settled],
-                               [f.seq for f in result.winners],
-                               round(result.elapsed, 12), result.met))
+                elapsed = quorum_of(2, futures)
+                orders.append(([f.seq for f in futures if f.cancelled],
+                               round(elapsed, 12)))
             return orders
 
         assert run() == run()
@@ -217,8 +197,8 @@ class TestGoldenDrawTrace:
         assert net.stats.summary()["failures"] == 10
 
     def test_rpc_issue_draws_identically(self):
-        """Issuing futures (even under concurrent=True) keeps the stream."""
-        sim = Simulator(seed=42, concurrent=True)
+        """Issuing futures keeps the stream."""
+        sim = Simulator(seed=42)
         net = SimNetwork(sim, loss_rate=0.1)
         for i in range(6):
             net.register(SimNode(f"n{i}"))

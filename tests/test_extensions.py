@@ -1,6 +1,10 @@
 """Tests for the open-problem demonstrators (Section VI extensions)."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -249,3 +253,28 @@ class TestResharing:
         sim = ResharingSimulation(self.GRAPH, 0.1)
         with pytest.raises(ReproError):
             sim.run("ghost", ["user1"])
+
+    # One E9b cell; holders are iterated while drawing from the run's
+    # RNG, so their order must not depend on str hashing.
+    CELL = ("from repro.extensions import ResharingSimulation\n"
+            "from repro.workloads import social_graph\n"
+            "sim = ResharingSimulation(social_graph(150, kind='ws', "
+            "seed=104), 0.3, seed=105)\n"
+            "result = sim.run('user0', ['user1', 'user2', 'user3'])\n"
+            "print(sorted(result['holders']), "
+            "result['unintended_fraction'])\n")
+
+    def _run_cell(self, hash_seed):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + ([os.environ["PYTHONPATH"]]
+                                if os.environ.get("PYTHONPATH") else [])))
+        return subprocess.run([sys.executable, "-c", self.CELL], env=env,
+                              capture_output=True, text=True,
+                              check=True).stdout
+
+    def test_spread_independent_of_hash_seed(self):
+        first = self._run_cell("0")
+        assert first.strip()
+        assert self._run_cell("1") == first
