@@ -217,10 +217,8 @@ class AdversaryModel:
         else:
             claimed = self.certified_id("chord", target)
         if behavior == "misroute":
-            self.network.stats.misrouted += 1
             self.metrics.inc("adversary.misroutes", overlay="chord")
             return ChordAnswer(next_hop=(target, claimed))
-        self.network.stats.forged_routes += 1
         self.metrics.inc("adversary.forged_routes", overlay="chord")
         return ChordAnswer(final=(target, claimed))
 
@@ -247,7 +245,6 @@ class AdversaryModel:
             claimed = self._forged_id("kad", key, rank) if chosen \
                 else self.certified_id("kad", name)
             claims.append((name, claimed))
-        self.network.stats.forged_routes += 1
         self.metrics.inc("adversary.forged_routes", overlay="kad")
         return KadAnswer(claims=tuple(claims))
 

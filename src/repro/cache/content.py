@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.cache.lru import LRUMap
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["CacheEntry", "VerifiedContentCache"]
 
@@ -50,6 +51,12 @@ class CacheEntry:
     version: Optional[int] = None
 
 
+def _counter_view(name: str) -> property:
+    """A read-only attribute over counter ``cache.<name>``."""
+    return property(
+        lambda self: self.metrics.get_counter_value(f"cache.{name}"))
+
+
 class VerifiedContentCache:
     """Per-reader LRU of verified posts, keyed by cid.
 
@@ -57,23 +64,22 @@ class VerifiedContentCache:
     delegated to the chain view the caller passes into :meth:`lookup` /
     :meth:`insert`, which must be the reader's *verified* replica of the
     author's timeline (or the author's own timeline for self-reads).
-    Counters are mirrored into the fabric metrics registry when one is
-    attached: ``cache.hits`` / ``cache.misses`` / ``cache.invalidations``
-    / ``cache.evictions`` / ``cache.insertions``.
+    Counters are written once, into :attr:`metrics` (the fabric's
+    registry, or a private one when none is given): ``cache.hits`` /
+    ``cache.misses`` / ``cache.invalidations`` / ``cache.evictions`` /
+    ``cache.insertions``; the same-named attributes read them back.
     """
 
-    def __init__(self, capacity_per_reader: int, metrics=None) -> None:
+    def __init__(self, capacity_per_reader: int,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.capacity = capacity_per_reader
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._readers: Dict[str, LRUMap] = {}
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-        self.insertions = 0
 
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.inc(f"cache.{name}")
+    hits = _counter_view("hits")
+    misses = _counter_view("misses")
+    invalidations = _counter_view("invalidations")
+    insertions = _counter_view("insertions")
 
     def _lru(self, reader: str) -> LRUMap:
         lru = self._readers.get(reader)
@@ -112,14 +118,12 @@ class VerifiedContentCache:
         lru = self._readers.get(reader)
         entry = lru.get(cid) if lru is not None else None
         if entry is None or entry.author != author:
-            self.misses += 1
-            self._count("misses")
+            self.metrics.inc("cache.misses")
             return None
         if view is None:
             # No verified view of the author: freshness cannot be
             # re-checked, so the cache refuses to serve.
-            self.misses += 1
-            self._count("misses")
+            self.metrics.inc("cache.misses")
             return None
         if view.head_hash != entry.head:
             marker = cid.encode()
@@ -129,17 +133,14 @@ class VerifiedContentCache:
                 # The author overwrote this cid since we cached it:
                 # the copy is provably stale — evict and miss.
                 lru.remove(cid)
-                self.invalidations += 1
-                self._count("invalidations")
-                self.misses += 1
-                self._count("misses")
+                self.metrics.inc("cache.invalidations")
+                self.metrics.inc("cache.misses")
                 return None
             # Chain advanced without touching the cid: re-pin the
             # freshness evidence so the next check is O(1) again.
             entry.head = view.head_hash
             entry.chain_len = len(view.entries)
-        self.hits += 1
-        self._count("hits")
+        self.metrics.inc("cache.hits")
         return entry
 
     def insert(self, reader: str, author: str, cid: str, post,
@@ -151,9 +152,8 @@ class VerifiedContentCache:
         before = self._lru(reader).evictions
         self._lru(reader).put(cid, entry)
         if self._lru(reader).evictions > before:
-            self._count("evictions")
-        self.insertions += 1
-        self._count("insertions")
+            self.metrics.inc("cache.evictions")
+        self.metrics.inc("cache.insertions")
         return entry
 
     def invalidate(self, reader: str, cid: str) -> bool:
@@ -161,8 +161,7 @@ class VerifiedContentCache:
         lru = self._readers.get(reader)
         if lru is None or lru.remove(cid) is None:
             return False
-        self.invalidations += 1
-        self._count("invalidations")
+        self.metrics.inc("cache.invalidations")
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -45,15 +45,19 @@ class SocialPrefetcher:
                  view_of: Callable[[str, str], object],
                  fetch_many: Callable[[str, List[str]], Dict[str, object]],
                  open_post: Callable[[str, str, bytes, str], object],
-                 metrics=None, tracer=None) -> None:
+                 tracer=None) -> None:
         self.cache = cache
         self.depth = depth
         self._view_of = view_of
         self._fetch_many = fetch_many
         self._open_post = open_post
-        self.metrics = metrics
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self.prefetched = 0
+
+    @property
+    def prefetched(self) -> int:
+        """Posts warmed so far: ``cache.prefetched`` in the cache's
+        registry."""
+        return self.cache.metrics.get_counter_value("cache.prefetched")
 
     def warm(self, reader: str, friends: Iterable[str]) -> int:
         """Prefetch ``friends``' newest posts into ``reader``'s cache.
@@ -105,7 +109,6 @@ class SocialPrefetcher:
                                   version=getattr(got, "version", None))
                 warmed += 1
             span.set_attr("warmed", warmed)
-        self.prefetched += warmed
-        if self.metrics is not None and warmed:
-            self.metrics.inc("cache.prefetched", warmed)
+        if warmed:
+            self.cache.metrics.inc("cache.prefetched", warmed)
         return warmed

@@ -269,8 +269,7 @@ class DosnNetwork:
                 self.prefetcher = SocialPrefetcher(
                     self.cache, config.cache.prefetch_depth,
                     view_of=self._view_of, fetch_many=self._fetch_many,
-                    open_post=self._open_for,
-                    metrics=self.metrics, tracer=self.tracer)
+                    open_post=self._open_for, tracer=self.tracer)
 
     def _build_stack(self, config: DosnConfig) -> ProtectionStack:
         """Assemble the network's :class:`ProtectionStack`.

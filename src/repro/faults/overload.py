@@ -206,23 +206,22 @@ class RetryBudget:
     ``refill_per_success`` up to ``capacity``.  Under a load spike the
     bucket drains and calls degrade to single attempts — the retry storm
     stops feeding the overload — and recovery refills it organically,
-    because refills only come from successes.
+    because refills only come from successes.  The channel counts each
+    denied retry as ``overload.budget_exhausted``
+    (``NetworkStats.budget_exhausted``).
     """
 
-    __slots__ = ("capacity", "refill_per_success", "tokens", "exhausted")
+    __slots__ = ("capacity", "refill_per_success", "tokens")
 
     def __init__(self, config: Optional[RetryBudgetConfig] = None) -> None:
         config = config or RetryBudgetConfig()
         self.capacity = config.capacity
         self.refill_per_success = config.refill_per_success
         self.tokens = config.capacity
-        #: times a retry was denied for want of a token
-        self.exhausted = 0
 
     def try_spend(self, cost: float = 1.0) -> bool:
         """Draw ``cost`` tokens for a retry; False when the bucket is dry."""
         if self.tokens < cost:
-            self.exhausted += 1
             return False
         self.tokens -= cost
         return True
@@ -234,7 +233,7 @@ class RetryBudget:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"RetryBudget(tokens={self.tokens:.2f}/"
-                f"{self.capacity:.0f}, exhausted={self.exhausted})")
+                f"{self.capacity:.0f})")
 
 
 class AdaptiveTimeout:

@@ -240,7 +240,7 @@ class ReliableChannel:
               deadline: Optional[Deadline]
               ) -> Tuple[bool, float, Optional[str]]:
         """The :meth:`call` engine; also reports the last failure cause."""
-        stats = self.network.stats
+        metrics = self.network.metrics
         with self.network.tracer.span("channel.call", kind=kind, src=src,
                                       dst=dst) as span:
             elapsed = 0.0
@@ -251,9 +251,8 @@ class ReliableChannel:
             view = self._view_of(src)
             if view is not None:
                 if view.is_dead(dst):
-                    stats.breaker_fastfails += 1
-                    self.network.metrics.inc("channel.membership_fastfails",
-                                             kind=kind)
+                    metrics.inc("net.breaker_fastfails")
+                    metrics.inc("channel.membership_fastfails", kind=kind)
                     span.set_attr("attempts", 0)
                     span.set_attr("outcome", "membership_fastfail")
                     return (False, 0.0, "membership_fastfail")
@@ -264,14 +263,12 @@ class ReliableChannel:
                 if deadline is not None and deadline.expired(now, elapsed):
                     # nobody is waiting for this answer any more: fail
                     # fast instead of issuing a doomed attempt
-                    stats.deadline_expired += 1
-                    self.network.metrics.inc("overload.deadline_expired",
-                                             kind=kind)
+                    metrics.inc("overload.deadline_expired", kind=kind)
                     outcome = cause = "deadline_expired"
                     break
                 if view is None and self.breaker is not None \
                         and not self.breaker.allow(dst, now):
-                    stats.breaker_fastfails += 1
+                    metrics.inc("net.breaker_fastfails")
                     self._export_breaker_state(dst)
                     outcome = "breaker_fastfail"
                     cause = cause or "breaker_fastfail"
@@ -296,17 +293,15 @@ class ReliableChannel:
                 if view is None and self.breaker is not None \
                         and cause != "overloaded":
                     if self.breaker.record_failure(dst, now):
-                        stats.breaker_trips += 1
+                        metrics.inc("net.breaker_trips")
                     self._export_breaker_state(dst)
                 if attempt + 1 < max_attempts:
                     if self.retry_budget is not None \
                             and not self.retry_budget.try_spend():
-                        stats.budget_exhausted += 1
-                        self.network.metrics.inc("overload.budget_exhausted",
-                                                 kind=kind)
+                        metrics.inc("overload.budget_exhausted", kind=kind)
                         outcome = "budget_exhausted"
                         break
-                    stats.retries += 1
+                    metrics.inc("net.retries")
                     backoff = self.policy.backoff(attempt, self._rng)
                     elapsed += backoff
                     span.add_cost(backoff)
@@ -353,7 +348,7 @@ class ReliableChannel:
         and cancels the losers, and ``elapsed`` is the winner's
         completion offset (every launched probe's, when none succeeds).
         """
-        stats = self.network.stats
+        metrics = self.network.metrics
         with self.network.tracer.span("channel.hedged", kind=kind,
                                       src=src) as span:
             view = self._view_of(src)
@@ -369,15 +364,13 @@ class ReliableChannel:
                     break  # an earlier request won before this hedge fires
                 now = self.network.sim.now
                 if deadline is not None and deadline.expired(now, launch_at):
-                    stats.deadline_expired += 1
-                    self.network.metrics.inc("overload.deadline_expired",
-                                             kind=kind)
+                    metrics.inc("overload.deadline_expired", kind=kind)
                     break
                 if i > 0:
-                    stats.hedges += 1
+                    metrics.inc("net.hedges")
                 if view is None and self.breaker is not None \
                         and not self.breaker.allow(dst, now):
-                    stats.breaker_fastfails += 1
+                    metrics.inc("net.breaker_fastfails")
                     self._export_breaker_state(dst)
                     continue
                 future = self.network.rpc_issue(src, dst, kind=kind,
@@ -392,7 +385,7 @@ class ReliableChannel:
                 elif view is None and self.breaker is not None \
                         and future.cause != "overloaded":
                     if self.breaker.record_failure(dst, now):
-                        stats.breaker_trips += 1
+                        metrics.inc("net.breaker_trips")
                     self._export_breaker_state(dst)
             successes = sorted(
                 (offset + future.latency, future.seq, dst, future)

@@ -7,7 +7,8 @@ messages go*; this package is the layer that answers them:
 * :mod:`repro.obs.trace`   — hierarchical spans keyed to virtual sim time
   (:class:`Tracer`), with a near-zero-cost :class:`NoopTracer` default;
 * :mod:`repro.obs.metrics` — dimensional counters/gauges/histograms
-  (:class:`MetricsRegistry`), superseding the flat ``NetworkStats``;
+  (:class:`MetricsRegistry`), the one counter ledger; the flat
+  ``NetworkStats`` is a read view over it;
 * :mod:`repro.obs.hooks`   — wall-clock profiling hooks around the crypto
   primitives (:func:`profile_crypto`);
 * :mod:`repro.obs.export`  — JSONL trace dumps, flamegraph-style text
@@ -17,9 +18,8 @@ Deterministic by construction: span ids, virtual timestamps, and counter
 values are pure functions of the seed; anything wall-clock lives in
 segregated fields the deterministic exporters never emit.
 
-The :class:`repro.fabric.Fabric` context object bundles a tracer and a
-registry with the simulator/network/channel stack and injects them into
-every subsystem — see docs/observability.md for the migration guide.
+The :class:`repro.fabric.Fabric` context object shares the network's
+tracer and registry with every subsystem — see docs/observability.md.
 """
 
 from repro.obs.export import (DOSN_PHASES, cost_breakdown, flame_summary,

@@ -1,13 +1,12 @@
 """Dimensional metrics: counters, gauges, and fixed-bucket histograms.
 
-:class:`MetricsRegistry` is the successor of the flat
-:class:`repro.overlay.network.NetworkStats` counters: every instrument
-carries a name plus sorted ``(label, value)`` dimensions, so the fabric can
-attribute a drop to *which* message kind, *which* fault cause, and *which*
-direction instead of bumping one aggregate integer.  ``NetworkStats``
-remains as the cheap legacy view (benchmarks read it everywhere);
-:meth:`MetricsRegistry.absorb_network` imports its aggregates into the
-registry so one exporter sees both worlds.
+:class:`MetricsRegistry` is the simulation's one counter ledger: every
+instrument carries a name plus sorted ``(label, value)`` dimensions, so the
+fabric can attribute a drop to *which* message kind, *which* fault cause,
+and *which* direction.  The flat
+:class:`repro.overlay.network.NetworkStats` holds no integers of its own:
+each of its fields is :meth:`MetricsRegistry.total` of one counter here,
+so an exporter that walks the registry sees them all.
 
 Histograms use fixed bucket bounds, so merging and percentile estimation
 are deterministic and O(buckets); :meth:`Histogram.percentile` linearly
@@ -191,25 +190,6 @@ class MetricsRegistry:
         return _Timer(self.histogram(f"{name}.wall_ns",
                                      bounds=WALL_NS_BUCKETS, **labels))
 
-    # -- legacy absorption ----------------------------------------------------
-
-    def absorb_network(self, network: Any, prefix: str = "net.") -> None:
-        """Import a :class:`NetworkStats` snapshot into the registry.
-
-        Called at export time so the flat legacy counters and the
-        dimensional ones land in one table; per-kind message counts become
-        ``net.messages_by_kind{kind=...}``.
-        """
-        stats = network.stats if hasattr(network, "stats") else network
-        for field_name in ("messages", "bytes", "drops", "timeouts",
-                          "retries", "breaker_trips", "breaker_fastfails",
-                          "hedges", "fault_drops", "corrupted"):
-            counter = self.counter(prefix + field_name)
-            counter.value = getattr(stats, field_name)
-        for kind, count in stats.by_kind.items():
-            counter = self.counter(prefix + "messages_by_kind", kind=kind)
-            counter.value = count
-
     # -- introspection --------------------------------------------------------
 
     def __iter__(self) -> Iterator[Any]:
@@ -224,8 +204,15 @@ class MetricsRegistry:
         instrument = self._instruments.get(key)
         return instrument.value if instrument is not None else 0
 
-    def clear(self) -> None:
-        self._instruments.clear()
+    def counters(self, name: str) -> List[Counter]:
+        """Every counter named ``name``, whatever its labels."""
+        return [instrument for (kind, n, _), instrument
+                in self._instruments.items()
+                if n == name and kind == "counter"]
+
+    def total(self, name: str) -> int:
+        """The label-sum of counter ``name`` (0 when absent)."""
+        return sum(counter.value for counter in self.counters(name))
 
 
 class _Timer:

@@ -274,7 +274,6 @@ class ChordRing:
             while hops < max_hops:
                 if deadline is not None \
                         and deadline.expired(self.network.sim.now, rtt):
-                    self.network.stats.deadline_expired += 1
                     self.network.metrics.inc("overload.deadline_expired",
                                              kind="chord_lookup")
                     raise DeadlineExceededError(
@@ -492,14 +491,13 @@ class ChordRing:
                 continue  # crashed holders lost the key with their state
             if deadline is not None \
                     and deadline.expired(self.network.sim.now, spent):
-                self.network.stats.deadline_expired += 1
                 self.network.metrics.inc("overload.deadline_expired",
                                          kind="chord_replica_read")
                 raise DeadlineExceededError(
                     f"read of {key!r} ran out of budget after "
                     f"{probed} replica probes")
             if probed > 0:
-                self.network.stats.hedges += 1
+                self.network.metrics.inc("net.hedges")
             probed += 1
             future = self.channel.call_issue(
                 start, replica, kind="chord_replica_read",
@@ -610,7 +608,6 @@ class ChordRing:
                 continue
             if deadline is not None \
                     and deadline.expired(self.network.sim.now, spent):
-                self.network.stats.deadline_expired += 1
                 self.network.metrics.inc("overload.deadline_expired",
                                          kind="chord_batch_fetch")
                 expired = DeadlineExceededError(

@@ -223,7 +223,6 @@ class KademliaOverlay:
                     for peer_name in batch:
                         if deadline is not None and deadline.expired(
                                 self.network.sim.now, spent):
-                            self.network.stats.deadline_expired += 1
                             self.network.metrics.inc(
                                 "overload.deadline_expired", kind="kad_find")
                             raise DeadlineExceededError(

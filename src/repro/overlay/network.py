@@ -11,12 +11,12 @@ Two communication styles, matching how the overlay protocols are written:
   lookups use this — the classic simulation shortcut that preserves hop and
   message counts without continuation-passing every protocol step).
 
-Every message is counted in :class:`NetworkStats`, which experiments E5-E7
-read for their message-cost series.  Failures are additionally recorded
-dimensionally (kind × cause × direction) in the attached
-:class:`repro.obs.MetricsRegistry`, and every send/RPC opens a span on the
-attached tracer (a no-op by default) — see :mod:`repro.obs` and
-:class:`repro.fabric.Fabric`.
+Every count is written once, into the attached
+:class:`repro.obs.MetricsRegistry` (failures dimensionally: kind × cause ×
+direction); :class:`NetworkStats` is the flat read view over it that
+experiments E5-E7 read for their message-cost series.  Every send/RPC also
+opens a span on the attached tracer (a no-op by default) — see
+:mod:`repro.obs` and :class:`repro.fabric.Fabric`.
 
 Beyond the benign i.i.d. loss process, the fabric can carry an installed
 :class:`repro.faults.FaultPlan` (see :meth:`SimNetwork.install_faults`):
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.exceptions import OverlayError, SimulationError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter as MetricCounter, MetricsRegistry
 from repro.obs.trace import NOOP_TRACER
 from repro.overlay.simulator import SimFuture, Simulator, UniformLatency
 
@@ -58,97 +58,87 @@ class Message:
                         for k, v in self.payload.items())
 
 
-@dataclass
-class NetworkStats:
-    """Aggregate traffic counters (the legacy, flat view).
+#: flat :class:`NetworkStats` field -> the one registry counter it reads,
+#: summed over that counter's labels
+LEDGER: Dict[str, str] = {
+    "messages": "net.messages",
+    "bytes": "net.bytes",
+    "drops": "net.send_drops",
+    "timeouts": "net.timeouts",
+    "corrupted": "net.corrupted",
+    "failures": "net.rpc_failures",
+    "retries": "net.retries",
+    "breaker_trips": "net.breaker_trips",
+    "breaker_fastfails": "net.breaker_fastfails",
+    "hedges": "net.hedges",
+    "fault_drops": "net.fault_drops",
+    "shed": "overload.sheds",
+    "deadline_expired": "overload.deadline_expired",
+    "budget_exhausted": "overload.budget_exhausted",
+    "misrouted": "adversary.misroutes",
+    "forged_routes": "adversary.forged_routes",
+}
 
-    The base counters feed E5-E7; the resilience counters (``retries``,
-    ``breaker_trips``, ``breaker_fastfails``, ``hedges``) are incremented
-    by :class:`repro.faults.ReliableChannel`, and ``fault_drops`` /
-    ``corrupted`` attribute losses to an installed fault plan — E12 reads
-    all of them.  The overload counters (``shed``: requests rejected or
-    dropped by a full service queue, ``deadline_expired``: operations
-    abandoned because their propagated deadline ran out,
-    ``budget_exhausted``: retries denied by the channel's token bucket)
-    stay zero unless an :class:`repro.faults.OverloadConfig` is
-    installed — E18 reads them.  The adversary counters (``misrouted``:
-    lookups handed to an accomplice next hop, ``forged_routes``: forged
-    owner claims / closest-node sets) stay zero unless an
+
+class NetworkStats:
+    """Flat read view over the network's :class:`MetricsRegistry`.
+
+    Every count is written once, into the registry; each attribute here
+    (see :data:`LEDGER`) is the label-sum of one registry counter, so no
+    export path can miss a field.  The base counters feed E5-E7; the
+    resilience counters (``retries``, ``breaker_trips``,
+    ``breaker_fastfails``, ``hedges``) come from
+    :class:`repro.faults.ReliableChannel` and the fan-out readers, and
+    ``fault_drops`` / ``corrupted`` attribute losses to an installed fault
+    plan — E12 reads all of them.  ``failures`` counts every failed RPC
+    attempt, whatever its cause.  The overload counters (``shed``:
+    requests rejected or dropped by a full service queue,
+    ``deadline_expired``: operations abandoned because their propagated
+    deadline ran out, ``budget_exhausted``: retries denied by the
+    channel's token bucket) stay zero unless an
+    :class:`repro.faults.OverloadConfig` is installed — E18 reads them.
+    The adversary counters (``misrouted``: lookups handed to an
+    accomplice next hop, ``forged_routes``: forged owner claims /
+    closest-node sets) stay zero unless an
     :class:`repro.adversary.AdversaryConfig` is installed — E19 reads
     them, and E12b's table proves they stay zero on the legacy path.
 
-    Superseded by the dimensional :class:`repro.obs.MetricsRegistry` on
-    :attr:`SimNetwork.metrics` (per-kind, per-cause, per-direction
-    counters; histograms); these aggregates remain because they are cheap
-    and every existing experiment reads them.  Use
-    :meth:`repro.obs.MetricsRegistry.absorb_network` to fold a snapshot of
-    them into the registry at export time.
+    ``by_kind`` counts send and RPC *calls* per kind (``net.calls``), not
+    wire messages: one :meth:`SimNetwork.rpc_issue` bumps it once while
+    charging two messages.
     """
 
-    messages: int = 0
-    bytes: int = 0
-    drops: int = 0
-    timeouts: int = 0
-    retries: int = 0
-    breaker_trips: int = 0
-    breaker_fastfails: int = 0
-    hedges: int = 0
-    fault_drops: int = 0
-    corrupted: int = 0
-    shed: int = 0
-    deadline_expired: int = 0
-    budget_exhausted: int = 0
-    misrouted: int = 0
-    forged_routes: int = 0
-    by_kind: Counter = field(default_factory=Counter)
+    __slots__ = ("_metrics",)
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
+        self._metrics = metrics
+
+    def __getattr__(self, name: str) -> int:
+        try:
+            counter = LEDGER[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        return self._metrics.total(counter)
+
+    @property
+    def by_kind(self) -> Counter:
+        """Send and RPC calls per message kind."""
+        return Counter({dict(c.labels)["kind"]: c.value
+                        for c in self._metrics.counters("net.calls")
+                        if c.value})
 
     def reset(self) -> None:
-        """Zero everything (benchmarks call between phases)."""
-        self.messages = 0
-        self.bytes = 0
-        self.drops = 0
-        self.timeouts = 0
-        self.retries = 0
-        self.breaker_trips = 0
-        self.breaker_fastfails = 0
-        self.hedges = 0
-        self.fault_drops = 0
-        self.corrupted = 0
-        self.shed = 0
-        self.deadline_expired = 0
-        self.budget_exhausted = 0
-        self.misrouted = 0
-        self.forged_routes = 0
-        self.by_kind.clear()
+        """Zero every counter this view reads (benchmarks call between
+        phases); bound counters stay bound, so the next call counts
+        from 0."""
+        for name in (*LEDGER.values(), "net.calls"):
+            for counter in self._metrics.counters(name):
+                counter.value = 0
 
     def summary(self) -> Dict[str, int]:
-        """Flat roll-up with *every* RPC failure cause accounted.
-
-        ``failures`` covers both failure modes an RPC caller observes:
-        timeouts (lost request/response, offline or partitioned peer)
-        **and** corrupted responses — the corruption branch of
-        :meth:`SimNetwork._rpc_inner` returns a failure without touching
-        ``timeouts``, so summing only timeouts under-counts.  E12 reads
-        this so its resilience tables balance against injected faults.
-        """
-        return {
-            "messages": self.messages,
-            "bytes": self.bytes,
-            "drops": self.drops,
-            "timeouts": self.timeouts,
-            "corrupted": self.corrupted,
-            "failures": self.timeouts + self.corrupted,
-            "retries": self.retries,
-            "breaker_trips": self.breaker_trips,
-            "breaker_fastfails": self.breaker_fastfails,
-            "hedges": self.hedges,
-            "fault_drops": self.fault_drops,
-            "shed": self.shed,
-            "deadline_expired": self.deadline_expired,
-            "budget_exhausted": self.budget_exhausted,
-            "misrouted": self.misrouted,
-            "forged_routes": self.forged_routes,
-        }
+        """Every field, flat, in :data:`LEDGER` order."""
+        return {field: self._metrics.total(counter)
+                for field, counter in LEDGER.items()}
 
 
 class SimNode:
@@ -212,19 +202,24 @@ class SimNetwork:
 
     def __init__(self, sim: Simulator, latency: Optional[Any] = None,
                  loss_rate: float = 0.0, faults: Optional[Any] = None,
-                 tracer: Optional[Any] = None,
-                 metrics: Optional[MetricsRegistry] = None) -> None:
+                 tracer: Optional[Any] = None) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise SimulationError("loss_rate must be in [0, 1)")
         self.sim = sim
         self.latency = latency or UniformLatency()
         self.loss_rate = loss_rate
         self.nodes: Dict[str, SimNode] = {}
-        self.stats = NetworkStats()
-        #: observability: a no-op tracer and a fresh registry by default;
-        #: :class:`repro.fabric.Fabric` injects shared instances.
+        #: observability: a no-op tracer by default, and the network's own
+        #: registry — the one counter ledger, which
+        #: :class:`repro.fabric.Fabric` shares with every layer
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
+        self.stats = NetworkStats(self.metrics)
+        # bumped on every send or RPC: bound once, never looked up per call
+        self._messages = self.metrics.counter("net.messages")
+        self._bytes = self.metrics.counter("net.bytes")
+        self._timeouts = self.metrics.counter("net.timeouts")
+        self._calls: Dict[str, MetricCounter] = {}
         self._rng = sim.split_rng("network")
         self.faults = None
         #: per-peer service model (None = fair-weather: RPCs are free for
@@ -322,46 +317,49 @@ class SimNetwork:
         rate = self.faults.corruption_rate(a, b, t)
         return rate > 0 and self._rng.random() < rate
 
+    def _count_call(self, kind: str) -> None:
+        """One send or RPC call of ``kind``: ``net.calls{kind}``."""
+        counter = self._calls.get(kind)
+        if counter is None:
+            counter = self._calls[kind] = self.metrics.counter(
+                "net.calls", kind=kind)
+        counter.value += 1
+
     # -- asynchronous messaging ------------------------------------------------
 
     def send(self, message: Message) -> None:
         """Queue delivery of ``message`` after a latency sample.
 
         Messages to offline/unknown peers or lost to the loss process are
-        counted as drops; the sender is not notified (UDP semantics — the
-        protocols on top implement their own retries where they need them).
+        counted as drops, ``net.send_drops{kind=..., cause=...}``; the
+        sender is not notified (UDP semantics — the protocols on top
+        implement their own retries where they need them).
         Partition-blocked and burst-lost messages additionally count as
         ``fault_drops``; corrupted ones are delivered flagged.
-
-        Each drop is also recorded dimensionally in :attr:`metrics` as
-        ``net.send_drops{kind=..., cause=...}``.
         """
-        self.stats.messages += 1
-        self.stats.bytes += message.size_estimate()
-        self.stats.by_kind[message.kind] += 1
+        self._count_call(message.kind)
+        self._messages.value += 1
+        self._bytes.value += message.size_estimate()
         now = self.sim.now
         with self.tracer.span("net.send", kind=message.kind,
                               src=message.src, dst=message.dst) as span:
             if self.faults is not None \
                     and self.faults.blocks(message.src, message.dst, now):
-                self.stats.drops += 1
-                self.stats.fault_drops += 1
+                self.metrics.inc("net.fault_drops")
                 self.metrics.inc("net.send_drops", kind=message.kind,
                                  cause="partition")
                 span.set_attr("dropped", "partition")
                 return
             cause = self._loss_cause(message.src, message.dst, now)
             if cause is not None:
-                self.stats.drops += 1
                 if cause == "fault":
-                    self.stats.fault_drops += 1
+                    self.metrics.inc("net.fault_drops")
                 self.metrics.inc("net.send_drops", kind=message.kind,
                                  cause=cause)
                 span.set_attr("dropped", cause)
                 return
             if self._corrupts(message.src, message.dst, now):
                 message.corrupted = True
-                self.stats.corrupted += 1
                 self.metrics.inc("net.corrupted", kind=message.kind)
             delay = self.latency.sample(self._rng, message.src, message.dst) \
                 * self._latency_factor(message.src, message.dst, now)
@@ -374,7 +372,6 @@ class SimNetwork:
                                       dst=message.dst) as dspan:
                     node = self.nodes.get(message.dst)
                     if node is None or not node.online:
-                        self.stats.drops += 1
                         self.metrics.inc("net.send_drops", kind=message.kind,
                                          cause="offline")
                         dspan.set_attr("dropped", "offline")
@@ -404,7 +401,7 @@ class SimNetwork:
         parallel parent span turns the sum into a max — see
         :class:`repro.obs.trace.Span`).
         """
-        self.stats.by_kind[kind] += 1
+        self._count_call(kind)
         with self.tracer.span("net.rpc", kind=kind, src=src,
                               dst=dst) as span:
             ok, rtt, cause = self._rpc_inner(src, dst, kind, payload_size,
@@ -427,12 +424,12 @@ class SimNetwork:
         iterative lookups pay for dead fingers — while a lost *response*
         costs both messages (the request was delivered) plus the timeout.
         A corrupted response is delivered but useless, so it also reads as
-        a failure.
+        a failure, as does a request shed by a full service queue.
 
-        Every failure is recorded dimensionally in :attr:`metrics` as
-        ``net.rpc_failures{kind=..., cause=..., direction=...}`` — the
-        aggregate ``fault_drops`` counter cannot tell a lost request from
-        a lost response, the labelled counters can.
+        Every failure is recorded once, dimensionally, in :attr:`metrics`
+        as ``net.rpc_failures{kind=..., cause=..., direction=...}`` —
+        :attr:`NetworkStats.failures` is its label-sum — so a lost request
+        and a lost response stay distinguishable.
         """
         return self.rpc_issue(src, dst, kind, payload_size).value
 
@@ -485,11 +482,11 @@ class SimNetwork:
         reachable = not blocked and self.is_online(dst)
         request_lost = self._loss_cause(src, dst, now) if reachable else None
         if not reachable or request_lost is not None:
-            self.stats.messages += 1
-            self.stats.bytes += payload_size
-            self.stats.timeouts += 1
+            self._messages.value += 1
+            self._bytes.value += payload_size
+            self._timeouts.value += 1
             if blocked or request_lost == "fault":
-                self.stats.fault_drops += 1
+                self.metrics.inc("net.fault_drops")
             cause = "partition" if blocked else (
                 "offline" if not reachable else request_lost)
             self.metrics.inc("net.rpc_failures", kind=kind, cause=cause,
@@ -502,35 +499,36 @@ class SimNetwork:
             # the request reached dst: admission to its service queue
             accepted, queue_wait = self._enqueue(dst, now + out)
             if not accepted:
-                self.stats.shed += 1
                 self.metrics.inc("overload.sheds", kind=kind, dst=dst,
                                  policy=self.service.shed_policy)
+                self.metrics.inc("net.rpc_failures", kind=kind,
+                                 cause="overloaded", direction="request")
                 span.set_attr("failed", "overloaded")
                 if self.service.shed_policy == "reject":
                     # a typed rejection rides back: two messages, one
                     # round trip — the cheap failure shedding buys
-                    self.stats.messages += 2
-                    self.stats.bytes += payload_size + 64
+                    self._messages.value += 2
+                    self._bytes.value += payload_size + 64
                     return (False, out + back, "overloaded")
                 # "drop": silently discarded; the caller waits out the
                 # attempt timeout, exactly like an unprotected peer
-                self.stats.messages += 1
-                self.stats.bytes += payload_size
-                self.stats.timeouts += 1
+                self._messages.value += 1
+                self._bytes.value += payload_size
+                self._timeouts.value += 1
                 return (False, self._timeout_cost(dst, out), "overloaded")
-        self.stats.messages += 2
-        self.stats.bytes += 2 * payload_size
+        self._messages.value += 2
+        self._bytes.value += 2 * payload_size
         response_lost = self._loss_cause(dst, src, now)
         if response_lost is not None:
-            self.stats.timeouts += 1
+            self._timeouts.value += 1
             if response_lost == "fault":
-                self.stats.fault_drops += 1
+                self.metrics.inc("net.fault_drops")
             self.metrics.inc("net.rpc_failures", kind=kind,
                              cause=response_lost, direction="response")
             span.set_attr("failed", f"response/{response_lost}")
             return (False, self._timeout_cost(dst, out), response_lost)
         if self._corrupts(dst, src, now):
-            self.stats.corrupted += 1
+            self.metrics.inc("net.corrupted", kind=kind)
             self.metrics.inc("net.rpc_failures", kind=kind,
                              cause="corruption", direction="response")
             span.set_attr("failed", "response/corruption")
@@ -543,7 +541,7 @@ class SimNetwork:
                 # it reads as a timeout while dst's service time is
                 # already spent — the wasted work that feeds metastable
                 # collapse.
-                self.stats.timeouts += 1
+                self._timeouts.value += 1
                 self.metrics.inc("net.rpc_failures", kind=kind,
                                  cause="slow", direction="response")
                 span.set_attr("failed", "response/slow")

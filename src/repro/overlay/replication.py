@@ -126,7 +126,7 @@ def fetch_from_holders(channel, reader: str, placement: Placement,
     if blob_of is None:
         ok, winner, elapsed = channel.hedged(reader, holders, kind=kind)
         return (winner if ok else None), elapsed
-    stats = channel.network.stats
+    metrics = channel.network.metrics
     launched = []  # (launch offset, holder, future, satisfied)
     served = 0
     for holder in holders:
@@ -140,7 +140,7 @@ def fetch_from_holders(channel, reader: str, placement: Placement,
         if first_win is not None and first_win <= launch_at:
             break  # a verified response beat this hedge's launch time
         if launched:
-            stats.hedges += 1
+            metrics.inc("net.hedges")
         future = channel.call_issue(reader, holder, kind=kind)
         if future.ok:
             served += 1

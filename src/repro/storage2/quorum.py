@@ -308,13 +308,12 @@ class ReplicatedStore:
                         continue  # crashed holders lost key with their state
                     if deadline is not None \
                             and deadline.expired(self.sim.now, spent):
-                        self.network.stats.deadline_expired += 1
                         self.metrics.inc("overload.deadline_expired",
                                          kind="quorum_read")
                         deadline_hit = True
                         break  # stop issuing probes nobody will wait for
                     if probed > 0:
-                        self.network.stats.hedges += 1
+                        self.metrics.inc("net.hedges")
                     probed += 1
                     future = self._rpc_issue(
                         reader, holder, "quorum_read",
@@ -477,7 +476,6 @@ class ReplicatedStore:
                 for holder, holder_keys in want.items():
                     if deadline is not None \
                             and deadline.expired(self.sim.now, spent):
-                        self.network.stats.deadline_expired += 1
                         self.metrics.inc("overload.deadline_expired",
                                          kind="quorum_read_batch")
                         deadline_hit = True
@@ -549,7 +547,7 @@ class ReplicatedStore:
             if node is None or key not in node.store:
                 continue
             if probed > 0:
-                self.network.stats.hedges += 1
+                self.metrics.inc("net.hedges")
             probed += 1
             ok, _ = self._rpc(reader, holder, "replica_fetch")
             if ok:

@@ -74,8 +74,10 @@ class TestPrefetch:
         net = cached_net()
         net.post("bob", "b1")
         net.post("carol", "c1")
+        prefetched = net.prefetcher.prefetched
         warmed = net.prefetch("alice")
         assert warmed == 2
+        assert net.prefetcher.prefetched == prefetched + 2
         before = net.network.stats.messages
         feed = net.feed("alice")
         assert feed.clean

