@@ -22,13 +22,9 @@ The whole experiment is deterministic from its seed: the acceptance test
 runs the headline cell twice and requires byte-identical results.  The
 adversary's own decisions are hash-derived (zero RNG draws), so bare and
 defended cells face the *same* attack pattern.
-
-``REPRO_E19_SCALE=smoke`` shrinks the sweep for CI smoke runs.
 """
 
 from __future__ import annotations
-
-import os
 
 from _reporting import report_table
 from repro.adversary import AdversaryConfig, DefenseConfig
@@ -37,10 +33,9 @@ from repro.fabric import Fabric
 from repro.overlay.chord import ChordRing
 from repro.overlay.kademlia import KademliaOverlay, kad_id, xor_distance
 
-SMOKE = os.environ.get("REPRO_E19_SCALE", "").lower() == "smoke"
-N = 24 if SMOKE else 64          # peers
-KEYS = 8 if SMOKE else 20        # distinct keys looked up
-LOOKUPS = 16 if SMOKE else 50    # lookups per cell
+N = 64         # peers
+KEYS = 20      # distinct keys looked up
+LOOKUPS = 50   # lookups per cell
 SEED = 2016
 FRACTIONS = (0.0, 0.1, 0.2, 0.3)
 MODES = ("bare", "defended")

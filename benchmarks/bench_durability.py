@@ -24,13 +24,9 @@ counters (``storage.byzantine_rejects`` / ``read_repairs`` /
 Everything is deterministic from the seed; the acceptance tests run the
 headline cell twice and require byte-identical results, including the
 JSONL trace of a traced run.
-
-``REPRO_E14_SCALE=smoke`` shrinks the sweep for CI smoke runs.
 """
 
 from __future__ import annotations
-
-import os
 
 from _reporting import report_table
 from repro.exceptions import (CryptoError, IntegrityError, OverlayError,
@@ -44,10 +40,9 @@ from repro.overlay.churn import ExponentialOnOff, apply_churn_to_network
 from repro.storage2 import (AntiEntropyDaemon, ReplicatedStore,
                             ReplicationConfig)
 
-SMOKE = os.environ.get("REPRO_E14_SCALE", "").lower() == "smoke"
-N = 24 if SMOKE else 64          # peers
-KEYS = 6 if SMOKE else 18        # stored objects (each overwritten twice)
-READS = 30 if SMOKE else 108     # probes during the chaos window
+N = 64                           # peers
+KEYS = 18                        # stored objects (each overwritten twice)
+READS = 108                      # probes during the chaos window
 CALM_END = 100.0                 # puts happen fault-free before this
 WINDOW_END = 1000.0              # chaos window [CALM_END, WINDOW_END)
 CHURN_TICK = 15.0                # churn snapshot cadence on the sim clock

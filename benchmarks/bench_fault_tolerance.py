@@ -20,13 +20,10 @@ counters (retries, breaker trips, hedges, fault-attributed drops).
 
 The whole experiment is deterministic from its seed: the acceptance test
 runs the headline cell twice and requires byte-identical results.
-
-``REPRO_E12_SCALE=smoke`` shrinks the sweep for CI smoke runs.
 """
 
 from __future__ import annotations
 
-import os
 import statistics
 
 from _reporting import report_table
@@ -37,10 +34,9 @@ from repro.faults import (CircuitBreaker, Crash, FaultPlan, LossBurst,
 from repro.overlay.chord import ChordRing
 from repro.overlay.kademlia import KademliaOverlay
 
-SMOKE = os.environ.get("REPRO_E12_SCALE", "").lower() == "smoke"
-N = 32 if SMOKE else 96          # peers
-KEYS = 10 if SMOKE else 30       # stored objects
-QUERIES = 16 if SMOKE else 60    # reads during the fault window
+N = 96                           # peers
+KEYS = 30                        # stored objects
+QUERIES = 60                     # reads during the fault window
 CALM_END = 100.0                 # before this: fault-free build + put phase
 FAULT_END = 700.0                # faults active in [CALM_END, FAULT_END)
 

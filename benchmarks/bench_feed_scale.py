@@ -25,13 +25,10 @@ Acceptance gates baked into the tests:
   evidence — zero unverified or degraded cache hits;
 * warm cached feeds return exactly the same (author, sequence, text)
   stream as the cold baseline.
-
-``REPRO_E16_SCALE=smoke`` shrinks the sweep for CI smoke runs.
 """
 
 from __future__ import annotations
 
-import os
 import statistics
 
 from _reporting import report_table
@@ -39,12 +36,10 @@ from repro.cache import CacheConfig
 from repro.dosn import DosnConfig, DosnNetwork
 from repro.workloads import generate_posts, social_graph
 
-SMOKE = os.environ.get("REPRO_E16_SCALE", "").lower() == "smoke"
 SEED = 2016
 
 #: (label, users, posts, sampled readers)
-SCALES = ([("200", 200, 200, 20)] if SMOKE
-          else [("1k", 1000, 1000, 50), ("5k", 5000, 2500, 50)])
+SCALES = [("1k", 1000, 1000, 50), ("5k", 5000, 2500, 50)]
 
 CONFIGS = [
     ("baseline", None),

@@ -17,13 +17,10 @@ priced against.  E17 reports it for three workloads:
 
 Determinism: the quorum cell is re-run and must settle byte-identically
 (settle order is fixed by completion time, then issue sequence).
-
-``REPRO_E17_SCALE=smoke`` shrinks the sweep for CI smoke runs.
 """
 
 from __future__ import annotations
 
-import os
 import statistics
 
 from _reporting import report_table
@@ -35,16 +32,15 @@ from repro.overlay.network import SimNode
 from repro.storage2 import ReplicatedStore, ReplicationConfig
 from repro.workloads import generate_posts, social_graph
 
-SMOKE = os.environ.get("REPRO_E17_SCALE", "").lower() == "smoke"
 SEED = 2017
 
-N = 24 if SMOKE else 64          # chord peers (quorum cells)
-KEYS = 8 if SMOKE else 24        # stored objects
-READS = 16 if SMOKE else 48      # quorum reads measured
-TRIALS = 12 if SMOKE else 40     # hedged lookups measured
-USERS = 120 if SMOKE else 300    # feed cells
-POSTS = 120 if SMOKE else 300
-READERS = 8 if SMOKE else 20
+N = 64         # chord peers (quorum cells)
+KEYS = 24      # stored objects
+READS = 48     # quorum reads measured
+TRIALS = 40    # hedged lookups measured
+USERS = 300    # feed cells
+POSTS = 300
+READERS = 20
 
 
 def _percentiles(values):

@@ -24,11 +24,9 @@ phi-accrual suspicion (:mod:`repro.membership`) — on three axes:
   are never returned, flagged or not.
 
 Every confirmation observed during E15a is also appended to
-``benchmarks/results/E15_confirms.jsonl`` — the CI determinism gate runs
-the smoke sweep twice and requires byte-identical files.
-
-The experiment is deterministic from its seed; ``REPRO_E15_SCALE=smoke``
-shrinks it for CI.
+``benchmarks/results/E15_confirms.jsonl``.  The experiment is
+deterministic from its seed, so CI's results gate requires the
+regenerated log byte-identical to the committed one.
 """
 
 from __future__ import annotations
@@ -49,25 +47,24 @@ from repro.overlay.network import SimNode
 from repro.overlay.simulator import FixedLatency
 from repro.storage2 import ReplicatedStore, ReplicationConfig
 
-SMOKE = os.environ.get("REPRO_E15_SCALE", "").lower() == "smoke"
 SEED = 2015
 
 # E15a (detection) scale
-DET_N = 12 if SMOKE else 24
+DET_N = 24
 DET_WARMUP = 120.0
-DET_HORIZON = 400.0 if SMOKE else 700.0
-LOSS_LEVELS = (0.0, 0.2) if SMOKE else (0.0, 0.1, 0.2, 0.3)
+DET_HORIZON = 700.0
+LOSS_LEVELS = (0.0, 0.1, 0.2, 0.3)
 
 # E15b (routing) scale.  The partition cuts a *contiguous arc* of the
 # Chord ring (half the nodes by ring position), so entire replica
 # groups sit behind the cut — the case where per-destination state,
 # fixed or adaptive, actually decides a query instead of a healthy
 # replica quietly covering for it.
-RT_N = 24 if SMOKE else 48
-RT_KEYS = 4 if SMOKE else 6
+RT_N = 48
+RT_KEYS = 6
 RT_STEP = 4.0
 RT_CALM = 130.0
-RT_END = 450.0 if SMOKE else 700.0
+RT_END = 700.0
 RT_QUERIES = int((RT_END - RT_CALM - 15.0) / RT_STEP)
 RT_NAMES = [f"q{i}" for i in range(RT_N)]
 _RING_ORDER = sorted(RT_NAMES, key=chord_id)
@@ -181,7 +178,7 @@ def _routing_plan() -> FaultPlan:
                        end=RT_CALM + 270.0))
     # rolling churn on the near side: one peer at a time leaves and
     # returns with its state intact
-    churners = 6 if SMOKE else 10
+    churners = 10
     for j in range(churners):
         victim = RT_NEAR[(2 * j + 1) % len(RT_NEAR)]
         at = RT_CALM + 10.0 + j * ((RT_END - RT_CALM - 120.0) / churners)

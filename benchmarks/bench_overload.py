@@ -40,13 +40,10 @@ bill.
 Determinism: the protected cell is re-run and must be byte-identical
 (shed decisions draw no RNG; deadlines and budgets are pure virtual-time
 arithmetic).
-
-``REPRO_E18_SCALE=smoke`` shrinks the phases for CI smoke runs.
 """
 
 from __future__ import annotations
 
-import os
 import statistics
 
 from _reporting import report_table
@@ -57,10 +54,9 @@ from repro.faults import (AdaptiveTimeoutConfig, OverloadConfig, RetryBudget,
 from repro.overlay.chord import ChordRing
 from repro.storage2 import ReplicatedStore, ReplicationConfig
 
-SMOKE = os.environ.get("REPRO_E18_SCALE", "").lower() == "smoke"
 SEED = 2018
 
-N = 16 if SMOKE else 24          # chord peers
+N = 24                           # chord peers
 SERVICE_TIME = 0.1               # 10 req/s of capacity per peer
 QUEUE_LIMIT = 4                  # bounded backlog for the protected stacks
 ATTEMPT_TIMEOUT = 1.0            # fixed client timeout (bare + shed)
@@ -68,9 +64,9 @@ OP_BUDGET = 2.0                  # full stack's per-read deadline
 SLO = 2.0                        # a read this slow is not goodput
 RATE_CALM = 3.0                  # reads/s in PRE and POST
 RATE_SPIKE = 20.0                # reads/s during the spike
-PRE_S = 10.0 if SMOKE else 20.0
-SPIKE_S = 10.0 if SMOKE else 30.0
-POST_S = 10.0 if SMOKE else 20.0
+PRE_S = 20.0
+SPIKE_S = 30.0
+POST_S = 20.0
 HOT_KEY = "hot"
 
 #: the three stacks; every ablation keeps the same 4-attempt retry

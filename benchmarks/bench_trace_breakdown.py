@@ -14,22 +14,17 @@ Acceptance gates baked into the tests:
   (the observability layer is a pure function of the seed);
 * the no-op tracer run does the same workload without recording a span
   (the disabled path stays near-zero-cost).
-
-``REPRO_E13_SCALE=smoke`` shrinks the workload for CI smoke runs.
 """
 
 from __future__ import annotations
-
-import os
 
 from _reporting import report_observability, report_table
 from repro.dosn import DosnConfig, DosnNetwork
 from repro.obs.export import cost_breakdown, trace_to_jsonl
 from repro.workloads import generate_posts, social_graph
 
-SMOKE = os.environ.get("REPRO_E13_SCALE", "").lower() == "smoke"
-USERS = 16 if SMOKE else 48
-POSTS = 20 if SMOKE else 80
+USERS = 48
+POSTS = 80
 SEED = 131
 
 
@@ -83,7 +78,7 @@ def test_trace_determinism(benchmark):
 
     first, second = benchmark.pedantic(run_twice, rounds=1, iterations=1)
     assert first == second
-    assert first.count("\n") > (50 if SMOKE else 500)
+    assert first.count("\n") > 500
     report_table(
         "E13b_determinism", "E13b — trace determinism at a fixed seed",
         ["Runs compared", "Spans", "JSONL bytes", "Identical"],

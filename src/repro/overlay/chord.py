@@ -21,6 +21,7 @@ ring converges).
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
@@ -186,19 +187,14 @@ class ChordRing:
     @staticmethod
     def _successor_index(sorted_ids: Sequence[int], target: int) -> int:
         """Index of the first id >= target (wrapping)."""
-        lo, hi = 0, len(sorted_ids)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sorted_ids[mid] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo % len(sorted_ids)
+        return bisect.bisect_left(sorted_ids, target) % len(sorted_ids)
 
     # -- the iterative lookup (experiment E5's workhorse) -----------------------
 
     def owner_of(self, key: str) -> str:
         """Ground truth: the online-agnostic responsible node for ``key``."""
+        if not self.nodes:
+            raise OverlayError("ring is empty")
         ordered = sorted(self.nodes.values(), key=lambda n: n.chord_id)
         ids = [node.chord_id for node in ordered]
         return ordered[self._successor_index(ids, chord_id(key))].node_id

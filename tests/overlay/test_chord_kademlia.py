@@ -124,6 +124,24 @@ class TestChordCorrectness:
         with pytest.raises(OverlayError):
             ring.add_node("peer0")  # same name -> same id
 
+    def test_empty_ring_has_no_owner(self):
+        ring = ChordRing(Fabric.create(seed=1))
+        with pytest.raises(OverlayError, match="ring is empty"):
+            ring.owner_of("k")
+        with pytest.raises(OverlayError, match="ring is empty"):
+            ring.replica_set("k")
+        with pytest.raises(OverlayError, match="ring is empty"):
+            ring.get_many("peer0", ["k"])
+
+    def test_owner_is_first_id_at_or_after_key_wrapping(self):
+        net, ring = build_ring(32)
+        ids = sorted((node.chord_id, name) for name, node in ring.nodes.items())
+        for i in range(200):
+            key_id = chord_id(f"key{i}")
+            expected = next((name for nid, name in ids if nid >= key_id),
+                            ids[0][1])
+            assert ring.owner_of(f"key{i}") == expected
+
     def test_chord_id_stable(self):
         assert chord_id("alice") == chord_id("alice")
         assert chord_id("alice") != chord_id("bob")
