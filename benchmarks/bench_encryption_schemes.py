@@ -108,22 +108,27 @@ def test_hybrid_payload_scaling(benchmark):
 
     The asymmetric KEM cost is fixed, so doubling the payload should not
     double hybrid latency the way it would if the whole payload were
-    asymmetric-encrypted.
+    asymmetric-encrypted.  Each cell is the best of 5 publishes (as
+    :mod:`timeit` reports), and the repeats are interleaved across the
+    cells: the minimum is the run least disturbed by other load on the
+    host, and interleaving gives every cell a sample from the same
+    quiet stretch, so a slow spell cannot land on one cell alone.
     """
     import time
 
     def measure():
-        rows = []
-        for size in (1024, 65536):
-            for name in ("symmetric", "hybrid"):
-                scheme = build_scheme(name, 8)
-                payload = b"y" * size
+        cells = [(name, size) for size in (1024, 65536)
+                 for name in ("symmetric", "hybrid")]
+        schemes = {cell: build_scheme(cell[0], 8) for cell in cells}
+        best = dict.fromkeys(cells, float("inf"))
+        for i in range(5):
+            for cell in cells:
+                payload = b"y" * cell[1]
                 start = time.perf_counter()
-                for i in range(3):
-                    scheme.publish("g", f"i{i}", payload)
-                elapsed = (time.perf_counter() - start) / 3
-                rows.append((name, size, elapsed * 1000))
-        return rows
+                schemes[cell].publish("g", f"i{i}", payload)
+                best[cell] = min(best[cell], time.perf_counter() - start)
+        return [(name, size, best[name, size] * 1000)
+                for name, size in cells]
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
     timings = {(name, size): ms for name, size, ms in rows}

@@ -13,7 +13,7 @@ draw on the simulator's stream (the property tests pin this down).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import ClassVar, FrozenSet, Optional, Tuple
 
 from repro.exceptions import ReproError
 
@@ -28,31 +28,26 @@ BEHAVIORS: Tuple[str, ...] = ("misroute", "eclipse", "drop", "chosen_id")
 
 @dataclass(frozen=True)
 class DefenseConfig:
-    """The secure-lookup defense stack (all on by default).
+    """The secure-lookup defense stack (every defense always on).
 
-    ``certified_ids`` checks every routing response's node-ID claim
-    against a verified certificate binding ``id = H(pubkey)``;
-    ``disjoint_paths`` / ``successor_redundancy`` run that many
-    independent lookup paths (Kademlia / Chord respectively) and settle
-    the answer by majority vote (the paths overlap in time); ``quarantine``
-    bans provably-lying peers (and repeatedly-outvoted ones, after
-    ``suspect_threshold`` strikes) from routing, feeding the ban into
-    SWIM membership and the circuit breaker when those are wired.
+    Passing an instance (``AdversaryConfig(defense=DefenseConfig())``)
+    switches the stack on; its values are class constants, so the
+    instance takes no arguments.  Every routing response's node-ID claim
+    is checked against a verified certificate binding ``id = H(pubkey)``;
+    ``disjoint_paths`` / ``successor_redundancy`` independent lookup
+    paths (Kademlia / Chord respectively) settle the answer by majority
+    vote (the paths overlap in time); and provably-lying peers (and
+    repeatedly-outvoted ones, after ``suspect_threshold`` strikes) are
+    quarantined from routing, feeding the ban into SWIM membership and
+    the circuit breaker when those are wired.
     """
 
-    certified_ids: bool = True
-    disjoint_paths: int = 3
-    successor_redundancy: int = 3
-    quarantine: bool = True
-    suspect_threshold: int = 2
-
-    def __post_init__(self) -> None:
-        if self.disjoint_paths < 1:
-            raise ReproError("disjoint_paths must be >= 1")
-        if self.successor_redundancy < 1:
-            raise ReproError("successor_redundancy must be >= 1")
-        if self.suspect_threshold < 1:
-            raise ReproError("suspect_threshold must be >= 1")
+    #: independent Kademlia lookup paths per defended lookup
+    disjoint_paths: ClassVar[int] = 3
+    #: independent Chord lookup paths (owner votes) per defended lookup
+    successor_redundancy: ClassVar[int] = 3
+    #: lost votes before a certified-but-lying peer is quarantined
+    suspect_threshold: ClassVar[int] = 2
 
 
 @dataclass(frozen=True)
@@ -62,16 +57,16 @@ class AdversaryConfig:
     Which peers are compromised is a deterministic hash threshold over
     ``(seed_salt, name)`` — stable under roster order and independent of
     every RNG stream.  ``compromised`` overrides the threshold with an
-    explicit set (contract tests pick their attackers).  ``attack_rate``
-    is the per-(responder, key) probability (hash-derived, not drawn)
-    that a compromised responder misbehaves on that query.  ``defense``
+    explicit set (contract tests pick their attackers).  A compromised
+    responder attacks every query it answers that one of its
+    ``behaviors`` applies to, picking among them by hashing
+    ``(responder, key)``.  ``defense``
     is the :class:`DefenseConfig` to fight back with; ``None`` leaves
     lookups bare — the E19 baseline.
     """
 
     fraction: float = 0.2
     behaviors: Tuple[str, ...] = BEHAVIORS
-    attack_rate: float = 1.0
     defense: Optional[DefenseConfig] = None
     seed_salt: int = 0
     compromised: Optional[FrozenSet[str]] = None
@@ -79,8 +74,6 @@ class AdversaryConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.fraction < 1.0:
             raise ReproError("fraction must be in [0, 1)")
-        if not 0.0 < self.attack_rate <= 1.0:
-            raise ReproError("attack_rate must be in (0, 1]")
         unknown = set(self.behaviors) - set(BEHAVIORS)
         if unknown:
             raise ReproError(

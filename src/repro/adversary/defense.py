@@ -94,17 +94,16 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64,
     ``successor_redundancy`` of them produce an owner claim; each path
     distrusts the intermediate responders of earlier paths (plus every
     quarantined peer), so a single compromised region cannot answer all
-    of them.  With certified ids the vote is *successor-verified* first:
-    a node's ring position is ``H(pubkey)`` and unforgeable, so no
+    of them.  Ids are certified, so the vote is *successor-verified*
+    first: a node's ring position is ``H(pubkey)`` and unforgeable, so no
     certified node can sit between the key and its true owner — any vote
     naming a certifiably looser owner than the tightest claim on the
     table is a lie and is discarded before the majority settles (the
     surviving votes necessarily agree; ties among equal claims break to
-    the smallest name).  Without certification the raw majority decides.
-    Losing resolvers are flagged as suspects (once per lookup each).
-    The returned :class:`~repro.overlay.chord.LookupResult` carries the
-    winning path's hop count and the :func:`gather`-settled latency of
-    all voting paths.
+    the smallest name).  Losing resolvers are flagged as suspects (once
+    per lookup each).  The returned
+    :class:`~repro.overlay.chord.LookupResult` carries the winning path's
+    hop count and the :func:`gather`-settled latency of all voting paths.
     """
     from repro.overlay.chord import _SPACE, LookupResult, chord_id
 
@@ -113,8 +112,7 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64,
     metrics = ring.network.metrics
     sim = ring.network.sim
     votes_needed = defense.successor_redundancy
-    banned = adv.quarantine.banned if adv.quarantine is not None \
-        else frozenset()
+    banned = adv.quarantine.banned
     used: Set[str] = set()
     votes = []
     futures = []
@@ -140,18 +138,15 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64,
                 f"defended lookup for {key!r}: all {attempts} disjoint "
                 "paths failed")
         elapsed = gather(futures)
-        eligible = votes
-        if defense.certified_ids:
-            # Successor verification: certified positions are
-            # unforgeable, so the owner claim with the smallest
-            # clockwise distance from the key is the only one that can
-            # be the key's successor — every looser claim is discarded
-            # as a lie before the majority settles.
-            key_id = chord_id(key)
-            tight = min((chord_id(v.owner) - key_id) % _SPACE
-                        for v in votes)
-            eligible = [v for v in votes
-                        if (chord_id(v.owner) - key_id) % _SPACE == tight]
+        # Successor verification: certified positions are unforgeable,
+        # so the owner claim with the smallest clockwise distance from
+        # the key is the only one that can be the key's successor —
+        # every looser claim is discarded as a lie before the majority
+        # settles.
+        key_id = chord_id(key)
+        tight = min((chord_id(v.owner) - key_id) % _SPACE for v in votes)
+        eligible = [v for v in votes
+                    if (chord_id(v.owner) - key_id) % _SPACE == tight]
         tally = Counter(vote.owner for vote in eligible)
         top = max(tally.values())
         winner = min(name for name, count in tally.items() if count == top)
@@ -177,18 +172,15 @@ def defended_chord_lookup(ring, start: str, key: str, max_hops: int = 64,
 
 def defended_kad_lookup(overlay, start: str, key: str,
                         find_value: bool = False, deadline=None):
-    """``d`` disjoint Kademlia lookups, closest-set membership vote.
+    """``d`` disjoint Kademlia lookups, closest sets unioned.
 
-    With certified ids the paths' closest sets are *unioned*: a learned
-    name is a certified-real node at an unforgeable position the client
-    re-sorts by true XOR distance, so knowledge only one path surfaced
-    (bounded k-buckets make closeness knowledge scarce) is kept, and a
-    forged set can only add far-away accomplices that sort last.
-    Without certification a candidate makes the defended set only when
-    a majority of the successful paths report it — a forged set from
-    one captured path is outvoted.  Top-candidate disagreement between
-    paths is counted either way (``lookup.disjoint_agreement`` /
-    ``lookup.poisoned``).  With ``find_value`` the settled set is then
+    Ids are certified, so the paths' closest sets are *unioned*: a
+    learned name is a certified-real node at an unforgeable position the
+    client re-sorts by true XOR distance, so knowledge only one path
+    surfaced (bounded k-buckets make closeness knowledge scarce) is
+    kept, and a forged set can only add far-away accomplices that sort
+    last.  Top-candidate disagreement between paths is counted
+    (``lookup.disjoint_agreement`` / ``lookup.poisoned``).  With ``find_value`` the settled set is then
     probed in XOR order for the value (compromised holders withhold it;
     honest ones serve it), so a single honest live holder suffices.
     """
@@ -199,8 +191,7 @@ def defended_kad_lookup(overlay, start: str, key: str,
     metrics = overlay.network.metrics
     target_id = kad_id(key)
     paths_wanted = defense.disjoint_paths
-    banned = adv.quarantine.banned if adv.quarantine is not None \
-        else frozenset()
+    banned = adv.quarantine.banned
     used: Set[str] = set()
     paths = []
     failed_paths = 0
@@ -224,20 +215,9 @@ def defended_kad_lookup(overlay, start: str, key: str,
             raise LookupError_(
                 f"defended kad lookup for {key!r}: all {attempts} "
                 "disjoint paths failed")
-        if defense.certified_ids:
-            agreed = sorted(
-                set().union(*(set(path.closest) for path in paths)),
-                key=lambda n: xor_distance(kad_id(n), target_id))
-        else:
-            majority = len(paths) // 2 + 1
-            tally: Counter = Counter()
-            for path in paths:
-                for name in set(path.closest):
-                    tally[name] += 1
-            agreed = sorted(
-                (name for name, count in tally.items()
-                 if count >= majority),
-                key=lambda n: xor_distance(kad_id(n), target_id))
+        agreed = sorted(
+            set().union(*(set(path.closest) for path in paths)),
+            key=lambda n: xor_distance(kad_id(n), target_id))
         closest = agreed[:overlay.k]
         tops = {path.closest[0] for path in paths if path.closest}
         if len(tops) <= 1:
@@ -251,7 +231,7 @@ def defended_kad_lookup(overlay, start: str, key: str,
                 node = overlay.nodes.get(name)
                 if node is None or not node.online:
                     continue
-                ok, _ = overlay._rpc(start, name, kind="kad_fetch")
+                ok, _ = overlay.fabric.rpc(start, name, kind="kad_fetch")
                 rpcs += 1
                 if not ok or adv.withholds(name, key):
                     continue

@@ -92,7 +92,7 @@ class AdversaryModel:
         self._compromised: Dict[str, bool] = {}
         self._accomplices: Dict[str, List[str]] = {}
         self.quarantine: Optional[Quarantine] = None
-        if config.defense is not None and config.defense.quarantine:
+        if config.defense is not None:
             self.quarantine = Quarantine(config.defense, fabric)
         fabric.attach_adversary(self)
 
@@ -155,13 +155,11 @@ class AdversaryModel:
         """Which behavior (if any) this responder shows for this key."""
         if not self.compromised(responder):
             return None
-        salt = self.config.seed_salt
-        if _unit(salt, "attack", responder, key) >= self.config.attack_rate:
-            return None
         active = [b for b in menu if b in self.config.behaviors]
         if not active:
             return None
-        index = int(_unit(salt, "behavior", responder, key) * len(active))
+        index = int(_unit(self.config.seed_salt, "behavior", responder, key)
+                    * len(active))
         return active[index]
 
     def _chooses_id(self, responder: str, key: str) -> bool:

@@ -10,7 +10,8 @@ on its own, drawing no RNG and sending no message the cached path adds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.exceptions import SimulationError
 
@@ -33,19 +34,13 @@ class CacheConfig:
     #: ``befriend`` (and via :meth:`DosnNetwork.prefetch` on demand)
     prefetch: bool = True
     #: how many of a friend's newest posts a prefetch pulls
-    prefetch_depth: int = 2
+    prefetch_depth: ClassVar[int] = 2
 
     def __post_init__(self) -> None:
         if self.capacity_per_reader < 0:
             raise SimulationError("capacity_per_reader must be >= 0")
-        if self.prefetch_depth < 0:
-            raise SimulationError("prefetch_depth must be >= 0")
 
     @property
     def caching(self) -> bool:
         """Whether the verified-content LRU tier is active."""
         return self.capacity_per_reader > 0
-
-    def with_overrides(self, **changes) -> "CacheConfig":
-        """A copy with some fields replaced (sweep helper)."""
-        return _dc_replace(self, **changes)

@@ -41,7 +41,7 @@ all strictly off by default.
 from __future__ import annotations
 
 import random as _random
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -173,10 +173,6 @@ class DosnConfig:
                 "adversary requires the dht architecture (the attacks "
                 "target overlay routing)")
 
-    def with_overrides(self, **changes) -> "DosnConfig":
-        """A copy with some fields replaced (sweep helper)."""
-        return _dc_replace(self, **changes)
-
 
 class DosnNetwork:
     """A complete simulated (D)OSN."""
@@ -197,7 +193,7 @@ class DosnNetwork:
             if seed is not None:
                 overrides["seed"] = seed
             if overrides:
-                config = config.with_overrides(**overrides)
+                config = replace(config, **overrides)
         self.config = config
         self.architecture = config.architecture
         self.level = config.level

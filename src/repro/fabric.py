@@ -29,15 +29,15 @@ move any experiment's random stream.
 from __future__ import annotations
 
 import random as _random
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from repro.exceptions import SimulationError
-from repro.faults.overload import OverloadConfig, RetryBudget
+from repro.faults.overload import Deadline, OverloadConfig, RetryBudget
 from repro.faults.resilience import (CircuitBreaker, ReliableChannel,
                                      RetryPolicy)
 from repro.obs.trace import NOOP_TRACER, Tracer
 from repro.overlay.network import SimNetwork
-from repro.overlay.simulator import Simulator
+from repro.overlay.simulator import SimFuture, Simulator
 
 __all__ = ["Fabric"]
 
@@ -66,9 +66,9 @@ class Fabric:
         #: adversary draws no RNG — its decisions are hash-derived)
         self.adversary: Optional[Any] = None
         #: the overload-protection config (None = fair-weather fabric,
-        #: byte-identical).  Overlays and stores read
-        #: :meth:`OverloadConfig.mint_deadline` from here to start a
-        #: per-operation deadline at their public entry points.
+        #: byte-identical).  Overlays and stores call
+        #: :meth:`mint_deadline` to start a per-operation deadline at
+        #: their public entry points.
         self.overload: Optional[OverloadConfig] = overload
         if overload is not None:
             network.install_overload(overload)
@@ -137,6 +137,36 @@ class Fabric:
             raise SimulationError(
                 "an adversary model is already attached to this fabric")
         self.adversary = adversary
+
+    def rpc(self, src: str, dst: str, kind: str,
+            deadline: Optional[Deadline] = None) -> Tuple[bool, float]:
+        """One accounted RPC, through the resilient channel when wired.
+
+        ``deadline`` is the caller's *remaining* budget (already
+        decremented by time spent on earlier hops); the bare network
+        path ignores it — deadline enforcement is channel machinery.
+        """
+        if self.channel is not None:
+            return self.channel.call(src, dst, kind=kind, deadline=deadline)
+        return self.network.rpc(src, dst, kind=kind)
+
+    def rpc_issue(self, src: str, dst: str, kind: str,
+                  deadline: Optional[Deadline] = None) -> SimFuture:
+        """:meth:`rpc` issued as a future (draws identical to :meth:`rpc`)."""
+        if self.channel is not None:
+            return self.channel.call_issue(src, dst, kind=kind,
+                                           deadline=deadline)
+        return self.network.rpc_issue(src, dst, kind=kind)
+
+    def mint_deadline(self) -> Optional[Deadline]:
+        """A fresh per-operation deadline from :attr:`overload`.
+
+        ``None`` when the fabric has no overload config (or its op
+        budget is disabled).
+        """
+        if self.overload is None:
+            return None
+        return self.overload.mint_deadline(self.sim.now)
 
     @property
     def rng(self) -> _random.Random:

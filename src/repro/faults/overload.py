@@ -41,7 +41,7 @@ once the spike ends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import ClassVar, Dict, Optional
 
 from repro.exceptions import SimulationError
 
@@ -93,20 +93,21 @@ class ServiceConfig:
 
 @dataclass(frozen=True)
 class AdaptiveTimeoutConfig:
-    """EWMA attempt-timeout parameters (see :class:`AdaptiveTimeout`)."""
+    """EWMA attempt-timeout constants (see :class:`AdaptiveTimeout`).
 
-    alpha: float = 0.2
-    multiplier: float = 3.0
-    floor: float = 0.25
-    ceiling: float = 2.0
+    Passing an instance (``OverloadConfig(adaptive_timeout=
+    AdaptiveTimeoutConfig())``) switches adaptive timeouts on; every
+    value is a class constant, so the instance takes no arguments.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
-            raise SimulationError("alpha must be in (0, 1]")
-        if self.multiplier < 1.0:
-            raise SimulationError("multiplier must be >= 1")
-        if not 0.0 < self.floor <= self.ceiling:
-            raise SimulationError("need 0 < floor <= ceiling")
+    #: EWMA weight of each new RTT sample
+    alpha: ClassVar[float] = 0.2
+    #: attempt timeout as a multiple of the smoothed RTT
+    multiplier: ClassVar[float] = 3.0
+    #: lower clamp on the attempt timeout (virtual seconds)
+    floor: ClassVar[float] = 0.25
+    #: upper clamp on the attempt timeout (virtual seconds)
+    ceiling: ClassVar[float] = 2.0
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,20 @@
-"""Tunables for the SWIM/phi-accrual membership service."""
+"""Constants for the SWIM/phi-accrual membership service."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.exceptions import SimulationError
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
 class MembershipConfig:
-    """Protocol and estimator parameters for :class:`SwimMembership`.
+    """Protocol and estimator constants for :class:`SwimMembership`.
 
-    The defaults are sized for the simulated fabric's latency scale
+    Passing an instance (``DosnConfig(membership=MembershipConfig())``)
+    switches the detector on; every value below is a class constant, so
+    the instance takes no arguments.
+
+    The values are sized for the simulated fabric's latency scale
     (tens of milliseconds per link): one probe round per virtual second,
     three indirect proxies, and phi thresholds that tolerate ~20% packet
     loss without false confirmations (E15 measures exactly this).
@@ -28,45 +31,26 @@ class MembershipConfig:
 
     #: virtual seconds between probe rounds (every member probes one
     #: target per round, SWIM-style)
-    protocol_period: float = 1.0
+    protocol_period: ClassVar[float] = 1.0
     #: indirect ping-req proxies consulted when a direct probe fails
-    k_indirect: int = 3
+    k_indirect: ClassVar[int] = 3
     #: phi at which a destination is *deprioritized* (routing/channel)
-    suspect_phi: float = 3.0
+    suspect_phi: ClassVar[float] = 3.0
     #: phi at which a suspected peer is confirmed dead
-    confirm_phi: float = 8.0
+    confirm_phi: ClassVar[float] = 8.0
     #: membership updates piggybacked per direction per contact
-    piggyback_limit: int = 8
+    piggyback_limit: ClassVar[int] = 8
     #: sliding-window size of the per-peer evidence-gap estimator
-    window: int = 16
+    window: ClassVar[int] = 16
     #: prior mean evidence gap (seconds) before the window fills
-    initial_interval: float = 5.0
+    initial_interval: ClassVar[float] = 5.0
     #: floor for the estimated mean gap (keeps phi finite on chatty pairs)
-    min_interval: float = 0.25
+    min_interval: ClassVar[float] = 0.25
     #: lambda for the per-update retransmission budget
     #: (``ceil(lambda * log2(n + 1))`` piggyback transmissions per update)
-    gossip_budget_factor: float = 3.0
+    gossip_budget_factor: ClassVar[float] = 3.0
     #: every this many protocol periods a member also probes one peer it
     #: has confirmed dead ("gossip to the dead").  Without it two halves
     #: of a healed partition — each having buried the other — would
     #: never exchange another message, so neither could ever refute.
-    reclaim_every: int = 4
-
-    def __post_init__(self) -> None:
-        if self.protocol_period <= 0:
-            raise SimulationError("protocol_period must be positive")
-        if self.k_indirect < 0:
-            raise SimulationError("k_indirect must be >= 0")
-        if not 0 < self.suspect_phi < self.confirm_phi:
-            raise SimulationError(
-                "need 0 < suspect_phi < confirm_phi")
-        if self.piggyback_limit < 1:
-            raise SimulationError("piggyback_limit must be >= 1")
-        if self.window < 2:
-            raise SimulationError("estimator window must be >= 2")
-        if self.initial_interval <= 0 or self.min_interval <= 0:
-            raise SimulationError("estimator intervals must be positive")
-        if self.gossip_budget_factor <= 0:
-            raise SimulationError("gossip_budget_factor must be positive")
-        if self.reclaim_every < 1:
-            raise SimulationError("reclaim_every must be >= 1")
+    reclaim_every: ClassVar[int] = 4

@@ -140,18 +140,6 @@ class ChordRing:
         self.channel = self.fabric.channel
         self.nodes: Dict[str, ChordNode] = {}
 
-    def _rpc(self, src: str, dst: str, kind: str,
-             deadline: Optional[Deadline] = None) -> Tuple[bool, float]:
-        """One accounted RPC, through the resilient channel when wired.
-
-        ``deadline`` is the caller's *remaining* budget (already
-        decremented by time spent on earlier hops); the bare network
-        path ignores it — deadline enforcement is channel machinery.
-        """
-        if self.channel is not None:
-            return self.channel.call(src, dst, kind=kind, deadline=deadline)
-        return self.network.rpc(src, dst, kind=kind)
-
     # -- construction -----------------------------------------------------------
 
     def add_node(self, name: str) -> ChordNode:
@@ -198,6 +186,15 @@ class ChordRing:
         ordered = sorted(self.nodes.values(), key=lambda n: n.chord_id)
         ids = [node.chord_id for node in ordered]
         return ordered[self._successor_index(ids, chord_id(key))].node_id
+
+    def ring_order(self, key: str) -> List[str]:
+        """Every peer's name in ring order, starting at ``key``'s owner."""
+        ordered = sorted(self.nodes.values(), key=lambda n: n.chord_id)
+        if not ordered:
+            return []
+        ids = [node.chord_id for node in ordered]
+        start = self._successor_index(ids, chord_id(key))
+        return [node.node_id for node in ordered[start:] + ordered[:start]]
 
     def lookup(self, start: str, key: str, max_hops: int = 64,
                deadline: Optional[Deadline] = None,
@@ -253,8 +250,8 @@ class ChordRing:
         current = self.nodes.get(start)
         if current is None or not current.online:
             raise LookupError_(f"start node {start!r} is not online")
-        if deadline is None and self.fabric.overload is not None:
-            deadline = self.fabric.overload.mint_deadline(self.network.sim.now)
+        if deadline is None:
+            deadline = self.fabric.mint_deadline()
         view = None
         if self.fabric.membership is not None:
             view = self.fabric.membership.view_of(start)
@@ -290,9 +287,8 @@ class ChordRing:
                     claimed_name, claimed_id = \
                         answer.final if answer.final is not None \
                         else answer.next_hop
-                    if defense is not None and defense.certified_ids \
-                            and not adv.check_claim("chord", claimed_name,
-                                                    claimed_id):
+                    if defense is not None and not adv.check_claim(
+                            "chord", claimed_name, claimed_id):
                         adv.flag_cert_liar(current.node_id,
                                            overlay="chord")
                         raise LookupError_(
@@ -300,8 +296,8 @@ class ChordRing:
                             f"forged node-id claim for {claimed_name!r}")
                     kind = "chord_final" if answer.final is not None \
                         else "chord_step"
-                    ok, t = self._rpc(current.node_id, claimed_name,
-                                      kind=kind, deadline=hop_deadline)
+                    ok, t = self.fabric.rpc(current.node_id, claimed_name,
+                                            kind=kind, deadline=hop_deadline)
                     rtt += t
                     hops += 1
                     if not ok:
@@ -353,7 +349,7 @@ class ChordRing:
                             break
                 if final_name is not None:
                     successor = final_name
-                    if defense is not None and defense.certified_ids \
+                    if defense is not None \
                             and not adv.check_claim(
                                 "chord", successor,
                                 adv.certified_id("chord", successor)):
@@ -364,9 +360,9 @@ class ChordRing:
                                            overlay="chord")
                         raise LookupError_(
                             f"uncertifiable owner claim {successor!r}")
-                    ok, t = self._rpc(current.node_id, successor,
-                                      kind="chord_final",
-                                      deadline=hop_deadline)
+                    ok, t = self.fabric.rpc(current.node_id, successor,
+                                            kind="chord_final",
+                                            deadline=hop_deadline)
                     rtt += t
                     hops += 1
                     if ok:
@@ -388,8 +384,9 @@ class ChordRing:
                                                      route_avoid)
                 if next_hop is None:
                     next_hop = successor
-                ok, t = self._rpc(current.node_id, next_hop,
-                                  kind="chord_step", deadline=hop_deadline)
+                ok, t = self.fabric.rpc(current.node_id, next_hop,
+                                        kind="chord_step",
+                                        deadline=hop_deadline)
                 rtt += t
                 hops += 1
                 if ok:
@@ -422,7 +419,8 @@ class ChordRing:
             for replica in self.replica_set(key):
                 self.nodes[replica].store[key] = value
                 if replica != result.owner:
-                    self._rpc(result.owner, replica, kind="chord_replicate")
+                    self.fabric.rpc(result.owner, replica,
+                                    kind="chord_replicate")
             return result
 
     def get(self, start: str, key: str) -> Tuple[bytes, LookupResult]:
@@ -440,11 +438,7 @@ class ChordRing:
         of :func:`repro.overlay.replication.fetch_from_holders`.
         """
         with self.network.tracer.span("chord.get", key=key, start=start):
-            deadline = None
-            if self.fabric.overload is not None:
-                deadline = self.fabric.overload.mint_deadline(
-                    self.network.sim.now)
-            return self._get_inner(start, key, deadline)
+            return self._get_inner(start, key, self.fabric.mint_deadline())
 
     def _get_inner(self, start: str, key: str,
                    deadline: Optional[Deadline] = None
@@ -565,9 +559,7 @@ class ChordRing:
         unserved keys (one starved group never fails the whole feed
         fan-out).
         """
-        deadline = None
-        if self.fabric.overload is not None:
-            deadline = self.fabric.overload.mint_deadline(self.network.sim.now)
+        deadline = self.fabric.mint_deadline()
         routed: Optional[str] = None
         spent = 0.0
         try:
@@ -678,7 +670,7 @@ class ChordRing:
         merged = [successor] + [
             s for s in succ_node.successors if s != node.node_id]
         node.successors = merged[:self.successor_list_size]
-        self._rpc(node.node_id, successor, kind="chord_stabilize")
+        self.fabric.rpc(node.node_id, successor, kind="chord_stabilize")
 
     def _fix_fingers(self, node: ChordNode) -> None:
         ordered = sorted((n for n in self.nodes.values() if n.online),

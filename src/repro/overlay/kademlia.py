@@ -23,6 +23,9 @@ from repro.faults.overload import Deadline
 from repro.overlay.network import SimNode
 
 ID_BITS = 64
+#: concurrent FIND queries per lookup round (Maymounkov and Mazieres'
+#: suggested value)
+ALPHA = 3
 
 
 def kad_id(name: str) -> int:
@@ -92,25 +95,17 @@ class KademliaOverlay:
     the overlay reads its network and resilient channel from it.
     """
 
-    def __init__(self, fabric: Any, k: int = 8, alpha: int = 3) -> None:
+    def __init__(self, fabric: Any, k: int = 8) -> None:
         from repro.fabric import require_fabric  # avoids an import cycle
         self.fabric = require_fabric(fabric, "KademliaOverlay")
         self.network = self.fabric.network
         self.k = k
-        self.alpha = alpha
         #: the :class:`repro.faults.ReliableChannel` for FIND/STORE RPCs
         #: (from the fabric) — Kademlia's shortlist already routes around
         #: unresponsive peers, so retries alone recover most transient-
         #: loss failures.
         self.channel = self.fabric.channel
         self.nodes: Dict[str, KademliaNode] = {}
-
-    def _rpc(self, src: str, dst: str, kind: str,
-             deadline: Optional[Deadline] = None) -> Tuple[bool, float]:
-        """One accounted RPC, through the resilient channel when wired."""
-        if self.channel is not None:
-            return self.channel.call(src, dst, kind=kind, deadline=deadline)
-        return self.network.rpc(src, dst, kind=kind)
 
     def add_node(self, name: str) -> KademliaNode:
         """Register a peer."""
@@ -141,12 +136,12 @@ class KademliaOverlay:
                _single_path: bool = False) -> KadLookupResult:
         """Iterative FIND_NODE / FIND_VALUE from ``start`` toward ``key``.
 
-        ``alpha`` concurrent queries per round (charged as RPCs); terminates
+        ``ALPHA`` concurrent queries per round (charged as RPCs); terminates
         when a round fails to improve the closest-seen distance, like the
         original protocol.
 
         Latency model: rounds are dependent (each consumes the previous
-        round's answers) and always sum; *within* a round the alpha
+        round's answers) and always sum; *within* a round the ALPHA
         queries are the protocol's namesake concurrency, so each round is
         a parallel span and its queries roll up as max.  The round's
         returned ``spent`` (which feeds the deadline) still sums them.
@@ -176,8 +171,8 @@ class KademliaOverlay:
         origin = self.nodes.get(start)
         if origin is None or not origin.online:
             raise LookupError_(f"start node {start!r} is not online")
-        if deadline is None and self.fabric.overload is not None:
-            deadline = self.fabric.overload.mint_deadline(self.network.sim.now)
+        if deadline is None:
+            deadline = self.fabric.mint_deadline()
         shortlist = origin.closest_known(target_id, self.k)
         if not shortlist:
             raise LookupError_("empty routing table; bootstrap first")
@@ -213,7 +208,7 @@ class KademliaOverlay:
                               and (not distrust or n not in distrust)]
                 candidates.sort(
                     key=lambda n: xor_distance(eff_id(n), target_id))
-                batch = candidates[:self.alpha]
+                batch = candidates[:ALPHA]
                 if not batch:
                     break
                 hops += 1
@@ -231,7 +226,7 @@ class KademliaOverlay:
                         queried.add(peer_name)
                         if visited is not None:
                             visited.add(peer_name)
-                        ok, t = self._rpc(
+                        ok, t = self.fabric.rpc(
                             start, peer_name, kind="kad_find",
                             deadline=None if deadline is None
                             else deadline.minus(spent))
@@ -259,7 +254,6 @@ class KademliaOverlay:
                                 value=peer.store[key])
                         if answer is not None:
                             if defense is not None \
-                                    and defense.certified_ids \
                                     and any(not adv.check_claim("kad", n,
                                                                 cid)
                                             for n, cid in answer.claims):
@@ -308,7 +302,7 @@ class KademliaOverlay:
             node = self.nodes[name]
             if not node.online:
                 continue
-            ok, _ = self._rpc(start, name, kind="kad_store")
+            ok, _ = self.fabric.rpc(start, name, kind="kad_store")
             if self.channel is not None and not ok:
                 continue  # the resilient path only counts confirmed stores
             node.store[key] = value

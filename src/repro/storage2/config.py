@@ -33,7 +33,6 @@ class ReplicationConfig:
     r: int = 2
     w: int = 2
     repair_interval: Optional[float] = None
-    read_repair: bool = True
     degraded_reads: bool = False
 
     def __post_init__(self) -> None:

@@ -27,7 +27,6 @@ from repro.exceptions import (CryptoError, DeadlineExceededError,
                               QuorumWriteError, ReplicaIntegrityError,
                               StorageError)
 from repro.faults.byzantine import CorruptBlob, Equivocate, StaleServe
-from repro.faults.overload import Deadline
 from repro.overlay.simulator import SimFuture, gather, quorum_of
 from repro.storage2.config import ReplicationConfig
 from repro.storage2.record import GENESIS, StoredVersion, seal_version
@@ -112,28 +111,6 @@ class ReplicatedStore:
             self._local_identities[author] = identity
             self.registry.register(identity)
         return identity.signer
-
-    def _rpc(self, src: str, dst: str, kind: str,
-             deadline: Optional[Deadline] = None) -> Tuple[bool, float]:
-        if self.ring.channel is not None:
-            return self.ring.channel.call(src, dst, kind=kind,
-                                          deadline=deadline)
-        return self.network.rpc(src, dst, kind=kind)
-
-    def _rpc_issue(self, src: str, dst: str, kind: str,
-                   deadline: Optional[Deadline] = None) -> SimFuture:
-        """Issue one store RPC as a future (draws identical to _rpc)."""
-        if self.ring.channel is not None:
-            return self.ring.channel.call_issue(src, dst, kind=kind,
-                                                deadline=deadline)
-        return self.network.rpc_issue(src, dst, kind=kind)
-
-    def _mint_deadline(self) -> Optional[Deadline]:
-        """A per-operation deadline from the fabric's overload config."""
-        overload = getattr(self.fabric, "overload", None)
-        if overload is None:
-            return None
-        return overload.mint_deadline(self.sim.now)
 
     def holders_of(self, key: str) -> List[str]:
         """The current replica holders (placement, else the ring's set)."""
@@ -237,8 +214,8 @@ class ReplicatedStore:
                             acks += 1
                             local_acks += 1
                         continue
-                    future = self._rpc_issue(coordinator, holder,
-                                             "quorum_store")
+                    future = self.fabric.rpc_issue(coordinator, holder,
+                                                   "quorum_store")
                     pushes.append(future)
                     if future.ok:
                         self.store_at(holder, key, encoded)
@@ -283,7 +260,7 @@ class ReplicatedStore:
         """
         with self.network.tracer.span("storage2.get", key=key,
                                       reader=reader) as span:
-            deadline = self._mint_deadline()
+            deadline = self.fabric.mint_deadline()
             responses: List[Tuple[str, Optional[StoredVersion]]] = []
             rejected = 0
             probed = 0
@@ -315,7 +292,7 @@ class ReplicatedStore:
                     if probed > 0:
                         self.metrics.inc("net.hedges")
                     probed += 1
-                    future = self._rpc_issue(
+                    future = self.fabric.rpc_issue(
                         reader, holder, "quorum_read",
                         deadline=None if deadline is None
                         else deadline.minus(spent))
@@ -405,15 +382,14 @@ class ReplicatedStore:
             verified,
             key=lambda pair: (pair[1].version, pair[1].record_hash()))
         repaired = 0
-        if self.config.read_repair:
-            encoded = best.encode()
-            for holder, record in responses:
-                if record is not None and record.version >= best.version:
-                    continue
-                ok, _ = self._rpc(reader, holder, "read_repair")
-                if ok and self.store_at(holder, key, encoded):
-                    repaired += 1
-                    self.metrics.inc("storage.read_repairs")
+        encoded = best.encode()
+        for holder, record in responses:
+            if record is not None and record.version >= best.version:
+                continue
+            ok, _ = self.fabric.rpc(reader, holder, "read_repair")
+            if ok and self.store_at(holder, key, encoded):
+                repaired += 1
+                self.metrics.inc("storage.read_repairs")
         if span is not None:
             span.set_attr("version", best.version)
             span.set_attr("repaired", repaired)
@@ -466,7 +442,7 @@ class ReplicatedStore:
             key_probes: Dict[str, List[SimFuture]] = {k: [] for k in ordered}
             key_verified: Dict[str, set] = {k: set() for k in ordered}
             reachable = 0
-            deadline = self._mint_deadline()
+            deadline = self.fabric.mint_deadline()
             spent = 0.0
             deadline_hit = False
             batch_probes: List[SimFuture] = []
@@ -480,7 +456,7 @@ class ReplicatedStore:
                                          kind="quorum_read_batch")
                         deadline_hit = True
                         break  # unprobed holders' keys settle short
-                    future = self._rpc_issue(
+                    future = self.fabric.rpc_issue(
                         reader, holder, "quorum_read_batch",
                         deadline=None if deadline is None
                         else deadline.minus(spent))
@@ -549,7 +525,7 @@ class ReplicatedStore:
             if probed > 0:
                 self.metrics.inc("net.hedges")
             probed += 1
-            ok, _ = self._rpc(reader, holder, "replica_fetch")
+            ok, _ = self.fabric.rpc(reader, holder, "replica_fetch")
             if ok:
                 return self.serve(holder, reader, key)
         raise StorageError(

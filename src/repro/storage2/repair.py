@@ -118,8 +118,8 @@ class AntiEntropyDaemon:
                         # is serial; the chains across peers overlap.
                         with store.network.tracer.span(
                                 "storage2.repair.peer", peer=peer):
-                            ok, _ = store._rpc(coordinator, peer,
-                                               "antientropy_root")
+                            ok, _ = store.fabric.rpc(coordinator, peer,
+                                                     "antientropy_root")
                             if not ok:
                                 continue
                             if self._summary_root(peer, keys) == local_root:
@@ -191,9 +191,11 @@ class AntiEntropyDaemon:
                         # RPC instead of teleporting data.
                         if not self._can_initiate(target):
                             continue
-                        ok, _ = store._rpc(target, source, "antientropy_pull")
+                        ok, _ = store.fabric.rpc(target, source,
+                                                 "antientropy_pull")
                     else:
-                        ok, _ = store._rpc(source, target, "antientropy_pull")
+                        ok, _ = store.fabric.rpc(source, target,
+                                                 "antientropy_pull")
                     if ok and store.store_at(target, key, encoded):
                         store.metrics.inc("storage.repair_pulls")
 
@@ -224,9 +226,9 @@ class AntiEntropyDaemon:
                 # fails honestly.
                 if not self._can_initiate(candidate):
                     continue
-                ok, _ = store._rpc(candidate, source, "re_replicate")
+                ok, _ = store.fabric.rpc(candidate, source, "re_replicate")
             else:
-                ok, _ = store._rpc(source, candidate, "re_replicate")
+                ok, _ = store.fabric.rpc(source, candidate, "re_replicate")
             if ok and store.store_at(candidate, key, encoded):
                 new_placement.append(candidate)
                 store.metrics.inc("storage.re_replications")
@@ -236,15 +238,9 @@ class AntiEntropyDaemon:
             store.placements[key] = new_placement
 
     def _candidates(self, key: str) -> List[str]:
-        """Online peers in ring order starting after the key's owner."""
-        from repro.overlay.chord import chord_id
-        ring = self.store.ring
-        ordered = sorted(ring.nodes.values(), key=lambda n: n.chord_id)
-        ids = [node.chord_id for node in ordered]
-        start = ring._successor_index(ids, chord_id(key))
-        rotated = ordered[start:] + ordered[:start]
-        return [node.node_id for node in rotated
-                if self._believes_alive(node.node_id)]
+        """Believed-alive peers in ring order, starting at the key's owner."""
+        return [name for name in self.store.ring.ring_order(key)
+                if self._believes_alive(name)]
 
     # -- confirm-triggered repair (non-oracle path only) ---------------------------
 

@@ -1,14 +1,21 @@
 """Unit tests for the SWIM-style membership protocol."""
 
+import networkx as nx
 import pytest
 
+from repro.adversary import AdversaryConfig, DefenseConfig
+from repro.cache import CacheConfig
 from repro.exceptions import OverlayError, SimulationError
 from repro.fabric import Fabric
+from repro.faults import AdaptiveTimeoutConfig
 from repro.membership import (ALIVE, DEAD, SUSPECT, MembershipConfig,
                               SwimMembership)
 from repro.membership.swim import _Update
-from repro.overlay.network import SimNode
-from repro.overlay.simulator import FixedLatency
+from repro.overlay.gossip import GossipOverlay
+from repro.overlay.kademlia import KademliaOverlay
+from repro.overlay.network import SimNetwork, SimNode
+from repro.overlay.simulator import FixedLatency, Simulator
+from repro.storage2 import ReplicationConfig
 
 
 def cluster(n=6, seed=7, loss=0.0, faults=None, config=None,
@@ -25,22 +32,53 @@ def cluster(n=6, seed=7, loss=0.0, faults=None, config=None,
     return fab, membership, names
 
 
+def _kademlia(**kwargs):
+    return KademliaOverlay(Fabric.create(seed=1), **kwargs)
+
+
+def _gossip(**kwargs):
+    return GossipOverlay(SimNetwork(Simulator(0)), nx.Graph(), **kwargs)
+
+
 class TestConfigValidation:
+    """Tunables fixed as constants are no longer accepted as keywords.
+
+    Each case is (constructor, keyword, the value it used to default
+    to); even that former default now raises ``TypeError``.  The first
+    ten are :class:`MembershipConfig`'s; the rest are the same change in
+    the sibling configs and overlays.
+    """
+
     @pytest.mark.parametrize("bad", [
-        dict(protocol_period=0.0),
-        dict(k_indirect=-1),
-        dict(suspect_phi=0.0),
-        dict(suspect_phi=9.0, confirm_phi=8.0),
-        dict(piggyback_limit=0),
-        dict(window=1),
-        dict(initial_interval=0.0),
-        dict(min_interval=0.0),
-        dict(gossip_budget_factor=0.0),
-        dict(reclaim_every=0),
+        (MembershipConfig, "protocol_period", 1.0),
+        (MembershipConfig, "k_indirect", 3),
+        (MembershipConfig, "suspect_phi", 3.0),
+        (MembershipConfig, "confirm_phi", 8.0),
+        (MembershipConfig, "piggyback_limit", 8),
+        (MembershipConfig, "window", 16),
+        (MembershipConfig, "initial_interval", 5.0),
+        (MembershipConfig, "min_interval", 0.25),
+        (MembershipConfig, "gossip_budget_factor", 3.0),
+        (MembershipConfig, "reclaim_every", 4),
+        (DefenseConfig, "certified_ids", True),
+        (DefenseConfig, "disjoint_paths", 3),
+        (DefenseConfig, "successor_redundancy", 3),
+        (DefenseConfig, "quarantine", True),
+        (DefenseConfig, "suspect_threshold", 2),
+        (AdversaryConfig, "attack_rate", 1.0),
+        (AdaptiveTimeoutConfig, "alpha", 0.2),
+        (AdaptiveTimeoutConfig, "multiplier", 3.0),
+        (AdaptiveTimeoutConfig, "floor", 0.25),
+        (AdaptiveTimeoutConfig, "ceiling", 2.0),
+        (CacheConfig, "prefetch_depth", 2),
+        (ReplicationConfig, "read_repair", True),
+        (_kademlia, "alpha", 3),
+        (_gossip, "fanout", 3),
     ])
     def test_invalid_parameters_rejected(self, bad):
-        with pytest.raises(SimulationError):
-            MembershipConfig(**bad)
+        factory, keyword, former_default = bad
+        with pytest.raises(TypeError):
+            factory(**{keyword: former_default})
 
 
 class TestRoster:

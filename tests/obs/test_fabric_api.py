@@ -91,12 +91,6 @@ class TestDosnConfig:
         with pytest.raises(OverlayError):
             DosnConfig(architecture="blockchain")
 
-    def test_with_overrides(self):
-        base = DosnConfig(architecture="dht", replication=2)
-        swept = base.with_overrides(replication=4)
-        assert swept.replication == 4
-        assert base.replication == 2  # frozen original untouched
-
     def test_positional_args_override_config(self):
         net = DosnNetwork("local", 42, config=DosnConfig(seed=1))
         assert net.config.architecture == "local"

@@ -18,9 +18,9 @@ def social(n=60, seed=0):
 
 
 class TestGossip:
-    def build(self, n=60, fanout=3, seed=0):
+    def build(self, n=60, seed=0):
         net = SimNetwork(Simulator(seed), latency=FixedLatency(0.01))
-        overlay = GossipOverlay(net, social(n, seed), fanout=fanout)
+        overlay = GossipOverlay(net, social(n, seed))
         return net, overlay
 
     def test_flood_finds_held_key(self):

@@ -124,19 +124,19 @@ class TestRetryBudget:
 
 class TestAdaptiveTimeout:
     def test_ewma_and_clamp(self):
-        adaptive = AdaptiveTimeout(AdaptiveTimeoutConfig(
-            alpha=0.5, multiplier=2.0, floor=0.2, ceiling=1.0))
+        # alpha 0.2, multiplier 3, floor 0.25, ceiling 2.0
+        adaptive = AdaptiveTimeout(AdaptiveTimeoutConfig())
         assert adaptive.timeout_for("x") is None  # no sample yet
         adaptive.observe("x", 0.3)
-        assert adaptive.timeout_for("x") == pytest.approx(0.6)
-        adaptive.observe("x", 0.1)  # ewma -> 0.2
-        assert adaptive.timeout_for("x") == pytest.approx(0.4)
-        adaptive.observe("x", 0.01)
-        adaptive.observe("x", 0.01)
-        assert adaptive.timeout_for("x") >= 0.2  # floored
+        assert adaptive.timeout_for("x") == pytest.approx(0.9)
+        adaptive.observe("x", 0.1)  # ewma -> 0.8 * 0.3 + 0.2 * 0.1 = 0.26
+        assert adaptive.timeout_for("x") == pytest.approx(0.78)
+        for _ in range(20):
+            adaptive.observe("x", 0.01)
+        assert adaptive.timeout_for("x") == pytest.approx(0.25)  # floor
         for _ in range(10):
             adaptive.observe("x", 50.0)
-        assert adaptive.timeout_for("x") == pytest.approx(1.0)  # ceiling
+        assert adaptive.timeout_for("x") == pytest.approx(2.0)  # ceiling
 
 
 class TestServiceQueue:

@@ -148,19 +148,6 @@ class TestReadRepair:
         repaired = store._verify("k", ring.nodes[laggard].store["k"])
         assert repaired.version == 2
 
-    def test_read_repair_can_be_disabled(self):
-        config = ReplicationConfig(n=3, r=2, w=2, read_repair=False)
-        fabric, ring, store = make_store(config=config)
-        store.put("p0", "k", b"v1")
-        holders = store.placements["k"]
-        laggard = holders[-1]
-        ring.nodes[laggard].go_offline()
-        store.put("p0", "k", b"v2")
-        ring.nodes[laggard].go_online()
-        result = store.get(reader_for(ring, holders), "k")
-        assert result.version == 2 and result.repaired == 0
-        assert store._verify("k", ring.nodes[laggard].store["k"]).version == 1
-
 
 class TestAntiEntropy:
     def test_sync_round_pulls_missed_writes(self):
