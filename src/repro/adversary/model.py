@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.adversary.config import AdversaryConfig
 from repro.adversary.defense import Quarantine
@@ -87,8 +87,8 @@ class AdversaryModel:
         self.metrics = fabric.metrics
         #: per-overlay certificate registries (independent id spaces)
         self.certifiers: Dict[str, IdCertifier] = {}
-        #: per-overlay enrolled peers, in enrollment order
-        self.rosters: Dict[str, List[str]] = {}
+        #: per-overlay enrolled peers
+        self.rosters: Dict[str, Set[str]] = {}
         self._compromised: Dict[str, bool] = {}
         self._accomplices: Dict[str, List[str]] = {}
         self.quarantine: Optional[Quarantine] = None
@@ -102,9 +102,9 @@ class AdversaryModel:
         """Register an overlay peer (called by the overlays' add_node)."""
         if space not in _SPACE_BITS:
             raise SimulationError(f"unknown overlay id space {space!r}")
-        roster = self.rosters.setdefault(space, [])
+        roster = self.rosters.setdefault(space, set())
         if name not in roster:
-            roster.append(name)
+            roster.add(name)
             self._accomplices.pop(space, None)
 
     def compromised(self, name: str) -> bool:

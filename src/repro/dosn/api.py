@@ -215,7 +215,6 @@ class DosnNetwork:
         self.users: Dict[str, DosnUser] = {}
         self.graph = nx.Graph()
         self.rng = _random.Random(config.seed)
-        self._dirty_routing = False
         self.provider: Optional[CentralProvider] = None
         self.repair_daemon: Optional[AntiEntropyDaemon] = None
         self.membership: Optional[SwimMembership] = None
@@ -375,7 +374,6 @@ class DosnNetwork:
             self.ring.add_node(name)
             if self.membership is not None:
                 self.membership.register(name)
-            self._dirty_routing = True
         elif self.architecture == "federation":
             self.federation.register_user(name)
         return user
@@ -407,9 +405,8 @@ class DosnNetwork:
             self.befriend(str(a), str(b))
 
     def _ensure_routing(self) -> None:
-        if self.architecture == "dht" and self._dirty_routing:
+        if self.architecture == "dht":
             self.ring.build()
-            self._dirty_routing = False
             if self.membership is not None \
                     and len(self.membership.views) >= 2:
                 self.membership.start()

@@ -14,9 +14,12 @@ peers under churn.
 
 Both construction modes are provided: :meth:`ChordRing.build` computes
 exact routing state for a static peer set (what the lookup experiments
-use), and :meth:`ChordNode.join` + :meth:`ChordRing.stabilize_all`
+use), and :meth:`ChordRing.join` + :meth:`ChordRing.stabilize_all`
 implement the incremental protocol (exercised by the tests to show the
-ring converges).
+ring converges).  The ring sorts its peers by id once per membership
+change and reads ownership, ring order and fingers from that index; it
+also tracks whether its routing state is stale, so ``build`` is
+idempotent.
 """
 
 from __future__ import annotations
@@ -139,43 +142,64 @@ class ChordRing:
         #: route around peers that stay unresponsive after retries.
         self.channel = self.fabric.channel
         self.nodes: Dict[str, ChordNode] = {}
+        self._by_id: Dict[int, ChordNode] = {}
+        #: ``(ids, nodes)`` in ring order; ``None`` after a membership change
+        self._index: Optional[Tuple[List[int], List[ChordNode]]] = None
+        #: whether routing state may differ from what :meth:`build` computes
+        self._stale = True
 
     # -- construction -----------------------------------------------------------
 
     def add_node(self, name: str) -> ChordNode:
         """Register a peer (routing state filled by build/join)."""
         node = ChordNode(name)
-        if node.chord_id in {n.chord_id for n in self.nodes.values()}:
+        if node.chord_id in self._by_id:
             raise OverlayError(
                 f"chord id collision for {name!r}; rename the node")
         self.nodes[name] = node
+        self._by_id[node.chord_id] = node
+        self._index = None
+        self._stale = True
         self.network.register(node)
         if self.fabric.adversary is not None:
             self.fabric.adversary.enroll(name, "chord")
         return node
 
+    def _ring(self) -> Tuple[List[int], List[ChordNode]]:
+        """Every peer's id and node in ring order, sorted once per change."""
+        if self._index is None:
+            ids = sorted(self._by_id)
+            self._index = (ids, [self._by_id[i] for i in ids])
+        return self._index
+
     def build(self) -> None:
-        """Compute exact fingers/successors for the current static peer set."""
-        ordered = sorted(self.nodes.values(), key=lambda n: n.chord_id)
-        n = len(ordered)
-        if n == 0:
+        """Compute exact fingers/successors for the current static peer set.
+
+        Idempotent: a no-op until ``add_node``, ``join`` or
+        ``stabilize_all`` changes the routing state.
+        """
+        if not self._stale:
             return
-        ids = [node.chord_id for node in ordered]
+        ids, ordered = self._ring()
+        n = len(ordered)
         for index, node in enumerate(ordered):
             node.successors = [
                 ordered[(index + k + 1) % n].node_id
                 for k in range(min(self.successor_list_size, n - 1))
             ] or [node.node_id]
             node.predecessor = ordered[(index - 1) % n].node_id
-            for bit in range(M_BITS):
-                target = (node.chord_id + (1 << bit)) % _SPACE
-                node.fingers[bit] = ordered[self._successor_index(
-                    ids, target)].node_id
+            self._fill_fingers(node, ids, ordered)
+        self._stale = False
 
     @staticmethod
-    def _successor_index(sorted_ids: Sequence[int], target: int) -> int:
-        """Index of the first id >= target (wrapping)."""
-        return bisect.bisect_left(sorted_ids, target) % len(sorted_ids)
+    def _fill_fingers(node: ChordNode, ids: Sequence[int],
+                      ordered: Sequence[ChordNode]) -> None:
+        """Point each finger at the first of ``ordered`` (ids ``ids``) at
+        or after its target, wrapping."""
+        for bit in range(M_BITS):
+            target = (node.chord_id + (1 << bit)) % _SPACE
+            node.fingers[bit] = ordered[
+                bisect.bisect_left(ids, target) % len(ids)].node_id
 
     # -- the iterative lookup (experiment E5's workhorse) -----------------------
 
@@ -183,17 +207,16 @@ class ChordRing:
         """Ground truth: the online-agnostic responsible node for ``key``."""
         if not self.nodes:
             raise OverlayError("ring is empty")
-        ordered = sorted(self.nodes.values(), key=lambda n: n.chord_id)
-        ids = [node.chord_id for node in ordered]
-        return ordered[self._successor_index(ids, chord_id(key))].node_id
+        ids, ordered = self._ring()
+        return ordered[bisect.bisect_left(ids, chord_id(key))
+                       % len(ids)].node_id
 
     def ring_order(self, key: str) -> List[str]:
         """Every peer's name in ring order, starting at ``key``'s owner."""
-        ordered = sorted(self.nodes.values(), key=lambda n: n.chord_id)
+        ids, ordered = self._ring()
         if not ordered:
             return []
-        ids = [node.chord_id for node in ordered]
-        start = self._successor_index(ids, chord_id(key))
+        start = bisect.bisect_left(ids, chord_id(key)) % len(ids)
         return [node.node_id for node in ordered[start:] + ordered[:start]]
 
     def lookup(self, start: str, key: str, max_hops: int = 64,
@@ -638,13 +661,15 @@ class ChordRing:
 
     def stabilize_all(self, rounds: int = 1) -> None:
         """Run the periodic stabilization on every node ``rounds`` times."""
+        self._stale = True
         for _ in range(rounds):
             for node in list(self.nodes.values()):
                 if node.online:
                     self._stabilize(node)
-            for node in list(self.nodes.values()):
-                if node.online:
-                    self._fix_fingers(node)
+            online = [n for n in self._ring()[1] if n.online]
+            online_ids = [n.chord_id for n in online]
+            for node in online:
+                self._fill_fingers(node, online_ids, online)
 
     def _stabilize(self, node: ChordNode) -> None:
         successor = node.first_live_successor(self)
@@ -671,14 +696,3 @@ class ChordRing:
             s for s in succ_node.successors if s != node.node_id]
         node.successors = merged[:self.successor_list_size]
         self.fabric.rpc(node.node_id, successor, kind="chord_stabilize")
-
-    def _fix_fingers(self, node: ChordNode) -> None:
-        ordered = sorted((n for n in self.nodes.values() if n.online),
-                         key=lambda n: n.chord_id)
-        ids = [n.chord_id for n in ordered]
-        if not ordered:
-            return
-        for bit in range(M_BITS):
-            target = (node.chord_id + (1 << bit)) % _SPACE
-            node.fingers[bit] = ordered[
-                self._successor_index(ids, target)].node_id

@@ -143,8 +143,10 @@ class KademliaOverlay:
         Latency model: rounds are dependent (each consumes the previous
         round's answers) and always sum; *within* a round the ALPHA
         queries are the protocol's namesake concurrency, so each round is
-        a parallel span and its queries roll up as max.  The round's
-        returned ``spent`` (which feeds the deadline) still sums them.
+        a parallel span and its queries roll up as max.  The deadline is
+        charged the same critical path: each round costs its slowest
+        query, and every query of a round sees the budget left when the
+        round started.
 
         As in :meth:`ChordRing.lookup <repro.overlay.chord.ChordRing
         .lookup>`, a ``deadline`` (minted from the fabric's overload
@@ -213,6 +215,7 @@ class KademliaOverlay:
                     break
                 hops += 1
                 improved = False
+                slowest = 0.0
                 with self.network.tracer.span("kad.round", parallel=True,
                                               round=hops):
                     for peer_name in batch:
@@ -230,7 +233,7 @@ class KademliaOverlay:
                             start, peer_name, kind="kad_find",
                             deadline=None if deadline is None
                             else deadline.minus(spent))
-                        spent += t
+                        slowest = max(slowest, t)
                         rpcs += 1
                         if not ok:
                             continue
@@ -276,6 +279,7 @@ class KademliaOverlay:
                                 if d < best:
                                     best = d
                                     improved = True
+                spent += slowest
                 shortlist.sort(
                     key=lambda n: xor_distance(eff_id(n), target_id))
                 shortlist = shortlist[:self.k * 2]

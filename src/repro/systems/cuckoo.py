@@ -53,7 +53,6 @@ class CuckooNetwork:
         #: user -> post id -> content, delivered by push
         self.inboxes: Dict[str, Dict[str, bytes]] = {}
         self._sequence = 0
-        self._built = False
         self.push_deliveries = 0
         self.pull_fetches = 0
         self.stack = ProtectionStack([
@@ -71,7 +70,6 @@ class CuckooNetwork:
         self.followers[name] = set()
         self.following[name] = set()
         self.inboxes[name] = {}
-        self._built = False
 
     def follow(self, follower: str, publisher: str) -> None:
         """Subscribe: future posts are pushed along the social overlay."""
@@ -79,11 +77,6 @@ class CuckooNetwork:
             raise OverlayError("both users must be registered")
         self.followers[publisher].add(follower)
         self.following[follower].add(publisher)
-
-    def _ensure_built(self) -> None:
-        if not self._built:
-            self.ring.build()
-            self._built = True
 
     # -- stack layer hooks -------------------------------------------------------
 
@@ -132,7 +125,7 @@ class CuckooNetwork:
         bound; offline followers simply miss the push — the DHT copy is
         their catch-up path.
         """
-        self._ensure_built()
+        self.ring.build()
         item = ContentItem(author=author, payload=text)
         self.stack.post(item)
         return item.cid
@@ -141,7 +134,7 @@ class CuckooNetwork:
 
     def read(self, reader: str, post_id: str) -> Tuple[bytes, str]:
         """The Cuckoo split: inbox (push) hit or DHT (pull) fallback."""
-        self._ensure_built()
+        self.ring.build()
         item = ContentItem(author="", reader=reader, cid=post_id)
         self.stack.read(item)
         return item.result

@@ -58,7 +58,6 @@ class PeersonNetwork:
         self.identities: Dict[str, Identity] = {}
         self.friends: Dict[str, set] = {}
         self._mailbox_counters: Dict[str, int] = {}
-        self._built = False
         self.stack = ProtectionStack([
             AclLayer(post=self._wrap_for_friends, read=self._unwrap,
                      spec=PEERSON_SPEC.layers[0]),
@@ -77,18 +76,12 @@ class PeersonNetwork:
         self.identities[name] = identity
         self.friends[name] = set()
         self.ring.add_node(name)
-        self._built = False
         return identity
 
     def befriend(self, a: str, b: str) -> None:
         """The 'physical meeting': both sides learn authenticated keys."""
         self.friends[a].add(b)
         self.friends[b].add(a)
-
-    def _ensure_built(self) -> None:
-        if not self._built:
-            self.ring.build()
-            self._built = True
 
     # -- stack layer hooks -------------------------------------------------------
 
@@ -132,7 +125,7 @@ class PeersonNetwork:
 
     def post(self, author: str, item_id: str, content: bytes) -> str:
         """Encrypt for the author's friends and store under a DHT key."""
-        self._ensure_built()
+        self.ring.build()
         item = ContentItem(author=author, payload=content,
                            meta={"item_id": item_id})
         self.stack.post(item)
@@ -140,7 +133,7 @@ class PeersonNetwork:
 
     def read(self, reader: str, dht_key: str) -> bytes:
         """Fetch from the DHT and unwrap with the reader's private key."""
-        self._ensure_built()
+        self.ring.build()
         item = ContentItem(author="", reader=reader, cid=dht_key)
         self.stack.read(item)
         return item.result
@@ -154,7 +147,7 @@ class PeersonNetwork:
         Works while the recipient is offline — the PeerSoN scenario of two
         phones never awake at the same time.
         """
-        self._ensure_built()
+        self.ring.build()
         public = self.registry.get(recipient).encryption_key
         blob = elgamal.encrypt_bytes(public, message, self.rng)
         index = self._mailbox_counters.get(recipient, 0)
@@ -165,7 +158,7 @@ class PeersonNetwork:
 
     def fetch_mailbox(self, owner: str) -> List[bytes]:
         """Drain every pending mailbox entry (decrypting locally)."""
-        self._ensure_built()
+        self.ring.build()
         private = self.identities[owner].encryption_key
         messages: List[bytes] = []
         for index in range(self._mailbox_counters.get(owner, 0)):

@@ -64,7 +64,6 @@ class PrplNetwork:
         self.user_devices: Dict[str, List[str]] = {}
         #: user -> item -> device id holding it (the butler's index)
         self.butler_index: Dict[str, Dict[str, str]] = {}
-        self._built = False
         self.stack = ProtectionStack([
             PlacementLayer(post=self._device_store, read=self._butler_fetch,
                            spec=PRPL_SPEC.layers[0]),
@@ -78,7 +77,6 @@ class PrplNetwork:
         if user in self.user_devices:
             raise OverlayError(f"{user!r} already registered")
         self.ring.add_node(f"butler:{user}")
-        self._built = False
         device_ids = []
         for index in range(device_count):
             device_id = f"{user}/dev{index}"
@@ -89,11 +87,6 @@ class PrplNetwork:
         self.user_devices[user] = device_ids
         self.butler_index[user] = {}
         return device_ids
-
-    def _ensure_built(self) -> None:
-        if not self._built:
-            self.ring.build()
-            self._built = True
 
     # -- stack layer hooks -------------------------------------------------------
 
@@ -160,7 +153,7 @@ class PrplNetwork:
         means any user's butler is reachable in O(log n); the final hop is
         the butler's device redirect.
         """
-        self._ensure_built()
+        self.ring.build()
         item = ContentItem(author=owner, reader=requester,
                            meta={"item_id": item_id})
         self.stack.read(item)

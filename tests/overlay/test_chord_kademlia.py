@@ -6,10 +6,11 @@ import pytest
 
 from repro.exceptions import LookupError_, OverlayError, StorageError
 from repro.fabric import Fabric
-from repro.overlay.chord import (ChordRing, chord_id, in_interval)
+from repro.faults.overload import Deadline
+from repro.overlay.chord import (M_BITS, ChordRing, chord_id, in_interval)
 from repro.overlay.kademlia import (KademliaOverlay, kad_id, xor_distance)
 from repro.overlay.network import SimNetwork
-from repro.overlay.simulator import Simulator
+from repro.overlay.simulator import FixedLatency, Simulator
 
 
 def build_ring(n=64, replication=2, seed=0):
@@ -20,6 +21,37 @@ def build_ring(n=64, replication=2, seed=0):
         ring.add_node(f"peer{i}")
     ring.build()
     return net, ring
+
+
+def sorted_ids(ring, online_only=False):
+    """Brute-force ring order: every ``(chord_id, name)``, sorted."""
+    return sorted((node.chord_id, name) for name, node in ring.nodes.items()
+                  if node.online or not online_only)
+
+
+def first_at_or_after(ids, target):
+    """Brute-force owner rule: first name of ``ids`` at or after ``target``."""
+    return next((name for nid, name in ids if nid >= target), ids[0][1])
+
+
+def finger_targets(node):
+    return [(node.chord_id + (1 << bit)) % (1 << M_BITS)
+            for bit in range(M_BITS)]
+
+
+def assert_exact_tables(ring):
+    """Every successor list, predecessor and finger is what build() defines."""
+    ids = sorted_ids(ring)
+    names = [name for _, name in ids]
+    n = len(names)
+    for pos, name in enumerate(names):
+        node = ring.nodes[name]
+        size = min(ring.successor_list_size, n - 1)
+        assert node.successors == [names[(pos + k) % n]
+                                   for k in range(1, size + 1)]
+        assert node.predecessor == names[pos - 1]
+        assert node.fingers == [first_at_or_after(ids, t)
+                                for t in finger_targets(node)]
 
 
 class TestIntervals:
@@ -135,12 +167,58 @@ class TestChordCorrectness:
 
     def test_owner_is_first_id_at_or_after_key_wrapping(self):
         net, ring = build_ring(32)
-        ids = sorted((node.chord_id, name) for name, node in ring.nodes.items())
+        ids = sorted_ids(ring)
         for i in range(200):
-            key_id = chord_id(f"key{i}")
-            expected = next((name for nid, name in ids if nid >= key_id),
-                            ids[0][1])
+            expected = first_at_or_after(ids, chord_id(f"key{i}"))
             assert ring.owner_of(f"key{i}") == expected
+
+    def test_ring_order_ignores_liveness(self):
+        net, ring = build_ring(32)
+        for i in range(0, 32, 4):
+            ring.nodes[f"peer{i}"].online = False
+        ids = sorted_ids(ring)
+        names = [name for _, name in ids]
+        for i in range(50):
+            start = names.index(first_at_or_after(ids, chord_id(f"key{i}")))
+            assert ring.ring_order(f"key{i}") == names[start:] + names[:start]
+
+    def test_build_tables_match_brute_force(self):
+        net, ring = build_ring(48)
+        assert_exact_tables(ring)
+
+    def test_stabilize_points_fingers_at_online_peers(self):
+        net, ring = build_ring(48)
+        for i in range(0, 48, 3):
+            ring.nodes[f"peer{i}"].online = False
+        ring.stabilize_all()
+        online = sorted_ids(ring, online_only=True)
+        for node in ring.nodes.values():
+            if node.online:
+                assert node.fingers == [first_at_or_after(online, t)
+                                        for t in finger_targets(node)]
+
+    def test_build_after_join_and_stabilize_restores_exact_tables(self):
+        net, ring = build_ring(16)
+        ring.join("latecomer", via="peer0")
+        ring.nodes["peer3"].online = False
+        ring.stabilize_all(rounds=2)
+        ring.nodes["peer3"].online = True
+        ring.build()
+        assert_exact_tables(ring)
+        # stabilization alone (no membership change) also dirties the tables
+        ring.nodes["peer5"].online = False
+        ring.stabilize_all()
+        ring.nodes["peer5"].online = True
+        ring.build()
+        assert_exact_tables(ring)
+
+    def test_rejected_duplicate_leaves_ring_unchanged(self):
+        net, ring = build_ring(8)
+        owners = {f"key{i}": ring.owner_of(f"key{i}") for i in range(40)}
+        with pytest.raises(OverlayError):
+            ring.add_node("peer3")
+        assert len(ring.nodes) == 8
+        assert {key: ring.owner_of(key) for key in owners} == owners
 
     def test_chord_id_stable(self):
         assert chord_id("alice") == chord_id("alice")
@@ -222,6 +300,21 @@ class TestKademlia:
         bucket = node.buckets[node.bucket_index(kad_id(first))]
         node.observe(first)
         assert bucket[-1] == first
+
+    def test_deadline_charges_each_round_its_slowest_query(self):
+        fab = Fabric.create(seed=4, latency=FixedLatency(0.05))
+        overlay = KademliaOverlay(fab)
+        for i in range(64):
+            overlay.add_node(f"p{i}")
+        overlay.bootstrap()
+        rtt = 0.1
+        free = overlay.lookup("p0", "far-key")
+        assert free.hops >= 2 and free.rpcs > free.hops
+        # R rounds of parallel queries fit in R round trips plus slack
+        bounded = overlay.lookup(
+            "p0", "far-key",
+            deadline=Deadline(fab.sim.now + (free.hops + 0.5) * rtt))
+        assert bounded.closest == free.closest
 
     def test_rpc_cost_grows_slowly(self):
         small = self.build(16, seed=2)[1]
